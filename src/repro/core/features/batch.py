@@ -446,7 +446,7 @@ class BatchExtractor:
         (one per snapshot, ``None`` entries recomputed on demand) so
         callers that already fingerprinted — the pipeline's verdict
         memo, the serving engine — don't pay the hash twice.  Emits one
-        ``extract.batch`` span carrying batch size and cache-hit count.
+        ``extract`` span carrying batch size and cache-hit count.
         """
         snapshots = list(snapshots)
         extractor = self.extractor
@@ -454,7 +454,7 @@ class BatchExtractor:
         if not snapshots:
             return out
         cache = extractor.cache
-        with tracer.span("extract.batch", n_pages=len(snapshots)) as span:
+        with tracer.span("extract", n_pages=len(snapshots)) as span:
             if cache is not None:
                 if keys is None:
                     keys = [None] * len(snapshots)

@@ -95,8 +95,8 @@ class KnowYourPhish:
         blocked).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` receiving the
-        ``analyze`` span tree of every call (``extract.f1``..``f5``,
-        ``classify``, ``target.identify``).  Defaults to the zero-cost
+        ``analyze`` span tree of every call (``extract``, ``classify``,
+        ``target.identify``).  Defaults to the zero-cost
         :data:`~repro.obs.trace.NULL_TRACER`.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
@@ -187,121 +187,16 @@ class KnowYourPhish:
         deadline: Deadline | None = None,
         quality=None,
     ) -> PageVerdict:
-        """Run the full pipeline on one page.
+        """Run the full pipeline on one page: a batch of one.
 
-        Accepts either a bare :class:`PageSnapshot` or a
-        :class:`~repro.resilience.browser.LoadResult` (whose load-time
-        degradation tags then seed the verdict's).  Auxiliary-source
-        failures degrade the verdict instead of raising: a search outage
-        yields a detector-only verdict tagged ``search_unavailable``,
-        an OCR failure tags ``ocr_failed`` and skips the OCR keyterms.
-
-        ``deadline`` caps the target-identification stage: once the
-        request's budget is exhausted — before or during the search
-        queries — a flagged page keeps the detector-only verdict tagged
-        ``deadline_exhausted`` instead of searching past the budget.
-        Classification itself always completes (it is local compute and
-        the page is already in hand).
-
-        ``tracer``/``metrics`` override the pipeline-level instruments
-        for this call (used by the batch layer, which gives each mapped
-        page its own tracer so span dumps stay deterministic).
-
-        ``quality`` optionally names a
-        :class:`~repro.obs.quality.QualityMonitor`; the finished
-        verdict (score, label, per-group feature means, top feature
-        contributions) is fed to it read-only after it is built, so
-        monitored and unmonitored calls return bit-identical verdicts.
+        Exactly ``analyze_batch([page], deadlines=[deadline])[0]``;
+        see :meth:`analyze_batch` for the verdict ladder, the deadline
+        contract and the instruments.
         """
-        tracer = self.tracer if tracer is None else tracer
-        metrics = self.metrics if metrics is None else metrics
-        degradations: list[str] = []
-        if isinstance(page, LoadResult):
-            degradations.extend(page.degradations)
-            snapshot = page.snapshot
-        else:
-            snapshot = page
-        with tracer.span("analyze", url=snapshot.starting_url) as root:
-            cache = self.detector.extractor.cache
-            sources = DataSources(
-                snapshot,
-                psl=self.detector.extractor.psl,
-                ocr=self.identifier.ocr if self.identifier else None,
-                distribution_cache=cache.distributions if cache else None,
-                cache_key=snapshot_fingerprint(snapshot) if cache else None,
-            )
-
-            def _verdict(
-                final: str, confidence: float, **kwargs
-            ) -> PageVerdict:
-                tags = degradations + sorted(sources.degradation_notes)
-                root.set(verdict=final, degraded=bool(tags))
-                metrics.inc("verdicts_total", verdict=final)
-                if tags:
-                    metrics.inc("verdicts_degraded_total")
-                result = PageVerdict(
-                    verdict=final,
-                    confidence=confidence,
-                    degraded=bool(tags),
-                    degradations=tags,
-                    **kwargs,
-                )
-                if quality is not None:
-                    self._quality_tap(
-                        quality, snapshot.starting_url, vector, result
-                    )
-                return result
-
-            vector = self.detector.extractor.extract_from_sources(
-                sources, tracer=tracer
-            )
-            with tracer.span("classify"):
-                confidence = float(
-                    self.detector.predict_proba(vector.reshape(1, -1))[0]
-                )
-            if confidence < self.detector.threshold:
-                return _verdict("legitimate", confidence, targets=[])
-            if self.identifier is None:
-                return _verdict("phish", confidence, targets=[])
-            if deadline is not None and deadline.expired():
-                degradations.append("deadline_exhausted")
-                return _verdict("phish", confidence, targets=[])
-
-            try:
-                with tracer.span("target.identify") as target_span:
-                    identification = self.identifier.identify(
-                        sources, deadline=deadline
-                    )
-                    target_span.set(
-                        step=identification.step,
-                        verdict=identification.verdict,
-                    )
-            except SearchUnavailableError:
-                # Search down / circuit open: fall back to the detector's
-                # tentative flag rather than losing the page entirely.
-                degradations.append("search_unavailable")
-                return _verdict("phish", confidence, targets=[])
-            except DeadlineExceeded:
-                # The budget ran out mid-identification: keep the
-                # detector's tentative flag rather than blowing the
-                # request's deadline on further searches.
-                degradations.append("deadline_exhausted")
-                return _verdict("phish", confidence, targets=[])
-            if identification.verdict == "legitimate":
-                # The identifier confirmed the page's own domain: the
-                # detector's flag was a false positive and is filtered.
-                metrics.inc("fp_filtered_total")
-                final = "legitimate"
-            elif identification.verdict == "phish":
-                final = "phish"
-            else:
-                final = "suspicious"
-            return _verdict(
-                final,
-                confidence,
-                targets=list(identification.targets),
-                identification=identification,
-            )
+        return self.analyze_batch(
+            [page], tracer=tracer, metrics=metrics, quality=quality,
+            deadlines=[deadline],
+        )[0]
 
     def analyze_batch(
         self,
@@ -309,38 +204,62 @@ class KnowYourPhish:
         tracer: AnyTracer | None = None,
         metrics: AnyMetrics | None = None,
         quality=None,
+        deadlines: list[Deadline | None] | None = None,
     ) -> list[PageVerdict]:
-        """Columnar analysis of already-loaded pages, in input order.
+        """Analyze already-loaded pages, in input order.
 
-        The batch counterpart of :meth:`analyze`: features come from
+        The one verdict ladder every route runs: features come from
         one :meth:`~repro.core.features.extractor.FeatureExtractor.extract_batch`
         pass, classification from one compiled-ensemble
         ``predict_proba`` call, and only the flagged pages proceed to
-        per-page target identification — in input order, so stateful
-        collaborators (search engine, circuit breakers, caches) see the
-        exact call sequence of the per-page loop.  Verdicts — final
-        label, confidence, targets, degradation tags — and metric
-        increments are identical to ``[self.analyze(page) for page in
-        pages]``; the differential harness pins this.
+        target identification — one page at a time, in input order, so
+        stateful collaborators (search engine, circuit breakers,
+        caches) see the same call sequence at any batch size.  A page
+        is either a bare :class:`PageSnapshot` or a
+        :class:`~repro.resilience.browser.LoadResult`, whose load-time
+        degradation tags then seed the verdict's.
 
-        Unlike :meth:`analyze` this path takes no per-page deadline:
-        callers with page budgets (the budgeted batch path, budgeted
-        serve requests) keep the per-page route, whose deadline reads
-        interleave with the clock exactly as before.
+        Auxiliary-source failures degrade a verdict instead of
+        raising: a search outage yields a detector-only verdict tagged
+        ``search_unavailable``; an OCR failure tags ``ocr_failed`` and
+        skips the OCR keyterms.
 
-        Tracing emits a single ``analyze.batch`` span (with the
-        ``extract.batch`` child) instead of per-page ``analyze`` trees,
-        so observed runs that must preserve per-page span dumps should
-        keep calling :meth:`analyze`.
+        ``deadlines`` optionally gives each page a
+        :class:`~repro.resilience.retry.Deadline` (``None`` entries
+        are unlimited).  A deadline is read only at its page's target
+        identification — before it starts and before every search
+        query — and once it is exhausted the flagged page keeps the
+        detector-only verdict tagged ``deadline_exhausted``.
+        Classification always completes (local compute on a page
+        already in hand).  Under a real clock this means page ``k``'s
+        deadline is first read after the whole batch's extraction and
+        classification and after identification of the flagged pages
+        before it; callers that need a page's own analysis time
+        measured alone pass it as a batch of one, as :meth:`analyze`
+        does.
+
+        ``tracer``/``metrics`` override the pipeline-level instruments
+        for this call.  Tracing emits one ``analyze`` span (``n_pages=``,
+        ``flagged=`` attrs) with one ``extract`` and one ``classify``
+        child and a ``target.identify`` child per flagged page, at any
+        batch size; metrics count ``verdicts_total{verdict=...}``,
+        ``verdicts_degraded_total`` and ``fp_filtered_total``.
 
         ``quality`` taps a :class:`~repro.obs.quality.QualityMonitor`
-        with each finished verdict and its matrix row's group means,
-        in input order — the same observation stream the per-page loop
-        feeds, so drift windows cannot tell the two paths apart.
+        with each finished verdict (score, label, per-group feature
+        means, top feature contributions), read-only and in input
+        order, so monitored and unmonitored calls return bit-identical
+        verdicts.
         """
         tracer = self.tracer if tracer is None else tracer
         metrics = self.metrics if metrics is None else metrics
         pages = list(pages)
+        if deadlines is None:
+            deadlines = [None] * len(pages)
+        elif len(deadlines) != len(pages):
+            raise ValueError(
+                f"got {len(deadlines)} deadlines for {len(pages)} pages"
+            )
         if not pages:
             return []
         load_tags: list[list[str]] = []
@@ -359,35 +278,7 @@ class KnowYourPhish:
             else [None] * len(snapshots)
         )
 
-        def _finish(
-            final: str,
-            confidence: float,
-            degradations: list[str],
-            sources: DataSources | None,
-            **kwargs,
-        ) -> PageVerdict:
-            notes = sorted(sources.degradation_notes) if sources else []
-            tags = degradations + notes
-            metrics.inc("verdicts_total", verdict=final)
-            if tags:
-                metrics.inc("verdicts_degraded_total")
-            result = PageVerdict(
-                verdict=final,
-                confidence=confidence,
-                degraded=bool(tags),
-                degradations=tags,
-                **kwargs,
-            )
-            if quality is not None:
-                self._quality_tap(
-                    quality,
-                    snapshots[index].starting_url,
-                    matrix[index],
-                    result,
-                )
-            return result
-
-        with tracer.span("analyze.batch", n_pages=len(pages)) as root:
+        with tracer.span("analyze", n_pages=len(pages)) as root:
             matrix = self.detector.extractor.extract_batch(
                 snapshots, tracer=tracer, keys=keys
             )
@@ -397,69 +288,97 @@ class KnowYourPhish:
             flagged = 0
             for index, snapshot in enumerate(snapshots):
                 confidence = float(confidences[index])
-                degradations = list(load_tags[index])
-                if confidence < self.detector.threshold:
-                    verdicts.append(
-                        _finish("legitimate", confidence, degradations,
-                                None, targets=[])
+                tags = load_tags[index]
+                final, identification = "legitimate", None
+                if confidence >= self.detector.threshold:
+                    flagged += 1
+                    final, identification = self._identify(
+                        snapshot, keys[index], deadlines[index], tags,
+                        tracer, metrics,
                     )
-                    continue
-                flagged += 1
-                if self.identifier is None:
-                    verdicts.append(
-                        _finish("phish", confidence, degradations,
-                                None, targets=[])
-                    )
-                    continue
-                sources = DataSources(
-                    snapshot,
-                    psl=self.detector.extractor.psl,
-                    ocr=self.identifier.ocr,
-                    distribution_cache=(
-                        cache.distributions if cache else None
+                metrics.inc("verdicts_total", verdict=final)
+                if tags:
+                    metrics.inc("verdicts_degraded_total")
+                verdict = PageVerdict(
+                    verdict=final,
+                    confidence=confidence,
+                    targets=(
+                        list(identification.targets) if identification
+                        else []
                     ),
-                    cache_key=keys[index],
+                    identification=identification,
+                    degraded=bool(tags),
+                    degradations=tags,
                 )
-                try:
-                    with tracer.span("target.identify") as target_span:
-                        identification = self.identifier.identify(sources)
-                        target_span.set(
-                            step=identification.step,
-                            verdict=identification.verdict,
-                        )
-                except SearchUnavailableError:
-                    degradations.append("search_unavailable")
-                    verdicts.append(
-                        _finish("phish", confidence, degradations,
-                                sources, targets=[])
+                if quality is not None:
+                    self._quality_tap(
+                        quality, snapshot.starting_url, matrix[index], verdict
                     )
-                    continue
-                except DeadlineExceeded:
-                    degradations.append("deadline_exhausted")
-                    verdicts.append(
-                        _finish("phish", confidence, degradations,
-                                sources, targets=[])
-                    )
-                    continue
-                if identification.verdict == "legitimate":
-                    metrics.inc("fp_filtered_total")
-                    final = "legitimate"
-                elif identification.verdict == "phish":
-                    final = "phish"
-                else:
-                    final = "suspicious"
-                verdicts.append(
-                    _finish(
-                        final,
-                        confidence,
-                        degradations,
-                        sources,
-                        targets=list(identification.targets),
-                        identification=identification,
-                    )
-                )
+                verdicts.append(verdict)
             root.set(flagged=flagged)
         return verdicts
+
+    def _identify(
+        self,
+        snapshot: PageSnapshot,
+        key: str | None,
+        deadline: Deadline | None,
+        tags: list[str],
+        tracer: AnyTracer,
+        metrics: AnyMetrics,
+    ) -> tuple[str, TargetIdentification | None]:
+        """Target identification of one flagged page: its final label.
+
+        Returns the label and the identification (``None`` for a
+        detector-only verdict), appending any degradation tags to
+        ``tags``.  Fresh :class:`DataSources` are built here, so only
+        flagged pages pay for them; they share the extractor's
+        distribution cache through ``key``.
+        """
+        if self.identifier is None:
+            return "phish", None
+        if deadline is not None and deadline.expired():
+            tags.append("deadline_exhausted")
+            return "phish", None
+        cache = self.detector.extractor.cache
+        sources = DataSources(
+            snapshot,
+            psl=self.detector.extractor.psl,
+            ocr=self.identifier.ocr,
+            distribution_cache=cache.distributions if cache else None,
+            cache_key=key,
+        )
+        try:
+            with tracer.span("target.identify") as target_span:
+                identification = self.identifier.identify(
+                    sources, deadline=deadline
+                )
+                target_span.set(
+                    step=identification.step,
+                    verdict=identification.verdict,
+                )
+        except SearchUnavailableError:
+            # Search down / circuit open: fall back to the detector's
+            # tentative flag rather than losing the page entirely.
+            tags.append("search_unavailable")
+            identification = None
+        except DeadlineExceeded:
+            # The budget ran out mid-identification: keep the
+            # detector's tentative flag rather than blowing the
+            # request's deadline on further searches.
+            tags.append("deadline_exhausted")
+            identification = None
+        tags.extend(sorted(sources.degradation_notes))
+        if identification is None:
+            return "phish", None
+        if identification.verdict == "legitimate":
+            # The identifier confirmed the page's own domain: the
+            # detector's flag was a false positive and is filtered.
+            metrics.inc("fp_filtered_total")
+            return "legitimate", identification
+        if identification.verdict == "phish":
+            return "phish", identification
+        return "suspicious", identification
 
     def analyze_many(
         self, urls, browser, pool=None, page_budget=None, quality=None
@@ -472,10 +391,11 @@ class KnowYourPhish:
         :class:`~repro.resilience.browser.ResilientBrowser` so transient
         faults are retried before a page is given up on.  ``pool`` is an
         optional :class:`~repro.parallel.WorkerPool`; loads stay serial,
-        per-page analysis fans out, and the report is identical to the
-        serial run (same verdicts, same order).  ``page_budget`` gives
-        every page its own end-to-end deadline (load + analysis); see
-        the batch layer for how leftover budget carries into analysis.
+        analysis fans out in columnar chunks, and the report is
+        identical to the serial run (same verdicts, same order).
+        ``page_budget`` gives every page its own end-to-end deadline
+        (load + analysis); see the batch layer for how leftover budget
+        carries into analysis.
         The pipeline's tracer and metrics observe the whole batch (each
         page's span tree is spliced back in input order, so dumps are
         deterministic across backends).

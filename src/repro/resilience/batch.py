@@ -123,91 +123,54 @@ class BatchReport:
         }
 
 
-class _TracedAnalyze:
-    """Per-item observed analysis: one fresh tracer/registry per page.
+class _AnalyzeChunk:
+    """Picklable chunk worker: the analysis stage of ``analyze_many``.
 
-    Mapped over loaded pages (serially or through a
-    :class:`~repro.parallel.WorkerPool`).  Every call records into its
-    *own* :class:`~repro.obs.trace.Tracer` and
+    Maps over a contiguous chunk of ``(loaded, remaining)`` pairs, where
+    ``remaining`` is the budget seconds the page's load left over
+    (``None`` when unbudgeted).  Each page's :class:`Deadline` is
+    rebuilt from it when its batch starts, so queue position in the
+    load phase never charges against a later page's analysis.
+
+    With ``per_page`` every page is analysed as its own batch of one;
+    otherwise the whole chunk is one ``analyze_batch`` call.  With a
+    ``trace_clock`` (observed runs, always per page) each page records
+    into its *own* :class:`~repro.obs.trace.Tracer` and
     :class:`~repro.obs.metrics.MetricsRegistry` and ships the finished
-    span records + metric snapshot back with the verdict; the caller
-    splices them into the batch-level instruments **in input order**.
-    That isolation is what makes span dumps byte-identical across
-    serial, thread and process backends — worker scheduling can never
-    interleave two pages' spans.
-
-    The clock is shared (pickled along, for process workers) so
-    manual-clock tests stay deterministic there too.
-
-    With ``budgeted=True`` each item is a ``(loaded, remaining)`` pair
-    and the analysis runs under a fresh :class:`Deadline` holding the
-    budget the page load left over.
+    span records + metric snapshot back with its verdict; the caller
+    splices them in input order, which is what keeps span dumps
+    byte-identical across serial, thread and process backends.
     """
 
-    def __init__(self, pipeline, clock, budgeted: bool = False) -> None:
+    def __init__(self, pipeline, clock, per_page: bool, trace_clock=None):
         self.pipeline = pipeline
         self.clock = clock
-        self.budgeted = budgeted
+        self.per_page = per_page
+        self.trace_clock = trace_clock
 
-    def __call__(self, item) -> tuple[object, list, dict]:
-        tracer = Tracer(clock=self.clock)
-        metrics = MetricsRegistry()
-        if self.budgeted:
-            loaded, remaining = item
-            deadline = (
+    def __call__(self, chunk: list) -> list:
+        results: list = []
+        for batch in [[item] for item in chunk] if self.per_page else [chunk]:
+            loads = [loaded for loaded, _remaining in batch]
+            deadlines = [
                 Deadline(remaining, clock=self.clock)
-                if remaining is not None
-                else None
+                if remaining is not None else None
+                for _loaded, remaining in batch
+            ]
+            if self.trace_clock is None:
+                results.extend(
+                    self.pipeline.analyze_batch(loads, deadlines=deadlines)
+                )
+                continue
+            tracer = Tracer(clock=self.trace_clock)
+            metrics = MetricsRegistry()
+            [verdict] = self.pipeline.analyze_batch(
+                loads, tracer=tracer, metrics=metrics, deadlines=deadlines
             )
-            verdict = self.pipeline.analyze(
-                loaded, tracer=tracer, metrics=metrics, deadline=deadline
+            results.append(
+                (verdict, tracer.export_records(), metrics.as_dict())
             )
-        else:
-            verdict = self.pipeline.analyze(
-                item, tracer=tracer, metrics=metrics
-            )
-        return verdict, tracer.export_records(), metrics.as_dict()
-
-
-class _TracedChunk:
-    """Chunk adapter for :class:`_TracedAnalyze`.
-
-    Maps the per-item traced worker over a contiguous chunk so observed
-    runs can use :meth:`~repro.parallel.WorkerPool.map_observed_chunks`
-    — one scheduling round-trip and one probe reconciliation per chunk
-    instead of per page — while keeping the per-page tracer/registry
-    isolation that makes span dumps backend-independent.
-    """
-
-    def __init__(self, worker: _TracedAnalyze) -> None:
-        self.worker = worker
-
-    def __call__(self, chunk: list) -> list[tuple[object, list, dict]]:
-        return [self.worker(item) for item in chunk]
-
-
-class _BudgetedAnalyze:
-    """Picklable analysis wrapper carrying each page's leftover budget.
-
-    Mapped over ``(loaded, remaining)`` pairs in the fast
-    (unobserved) path when ``analyze_many`` runs with a page budget:
-    the deadline is reconstructed at analysis start from the seconds
-    the load left over, so queue position in the load phase never
-    charges against a later page's analysis.
-    """
-
-    def __init__(self, pipeline, clock) -> None:
-        self.pipeline = pipeline
-        self.clock = clock
-
-    def __call__(self, item):
-        loaded, remaining = item
-        deadline = (
-            Deadline(remaining, clock=self.clock)
-            if remaining is not None
-            else None
-        )
-        return self.pipeline.analyze(loaded, deadline=deadline)
+        return results
 
 
 def analyze_many(
@@ -225,7 +188,8 @@ def analyze_many(
     ----------
     pipeline:
         A :class:`~repro.core.pipeline.KnowYourPhish` (anything with an
-        ``analyze`` accepting a snapshot or :class:`LoadResult`).
+        ``analyze_batch(loads, deadlines=...)`` accepting snapshots or
+        :class:`LoadResult` objects).
     browser:
         A :class:`ResilientBrowser` (preferred) or plain
         :class:`~repro.web.browser.Browser`.
@@ -240,29 +204,33 @@ def analyze_many(
         retry and quarantine decision identical to the serial run.
         Analysis is a pure function of the loaded page, so the report —
         verdicts, ordering, quarantine records — is bit-identical to
-        ``pool=None`` for any backend and worker count.
+        ``pool=None`` for any backend and worker count.  An unobserved
+        pooled run analyses contiguous columnar chunks
+        (:meth:`~repro.parallel.WorkerPool.columnar_chunks`); serial
+        and observed runs analyse each page as its own batch.
     tracer, metrics:
         Batch-level instruments.  Loads are observed live (the phase-1
         ``batch.load`` span); each page's analysis records into a fresh
         per-item tracer/registry whose output is spliced back in input
         order, so dumps are deterministic across backends and runs.
-        With both left at their null defaults the function takes the
-        exact pre-observability fast path.
     page_budget:
         Optional per-page deadline in seconds.  Each page's load runs
         under its own :class:`Deadline`; a load that blows the budget
         is quarantined as ``DeadlineExceeded``.  The seconds the load
         left over are carried into that page's analysis (target
         identification degrades rather than searching past the
-        budget).  ``None`` (the default) keeps the historical
-        unbudgeted fast path byte-identical.
+        budget).  In a columnar chunk every page's deadline starts
+        with the chunk, so under a real clock page ``k``'s is read
+        after the chunk's extraction and after identification of the
+        pages before it (see ``KnowYourPhish.analyze_batch``).
     """
     report = BatchReport()
     observed = tracer.enabled or metrics.enabled
     clock = getattr(browser, "clock", None) or SystemClock()
     # Phase 1 (serial): load every page, quarantining failures.
-    loaded_pages: list[tuple[str, LoadResult]] = []
-    leftovers: list[float | None] = []  # budget seconds left per load
+    urls_loaded: list[str] = []
+    # (load, budget seconds the load left over) per loaded page
+    items: list[tuple[LoadResult, float | None]] = []
     outcomes: list[tuple[str, object]] = []  # (kind, record/index)
     with tracer.span("batch.load"):
         for url in urls:
@@ -285,74 +253,45 @@ def analyze_many(
                 continue
             if not isinstance(loaded, LoadResult):
                 loaded = LoadResult(snapshot=loaded)
-            outcomes.append(("analyzed", len(loaded_pages)))
-            loaded_pages.append((url, loaded))
-            leftovers.append(
-                deadline.remaining() if deadline is not None else None
-            )
+            outcomes.append(("analyzed", len(items)))
+            urls_loaded.append(url)
+            items.append((
+                loaded, deadline.remaining() if deadline is not None else None
+            ))
 
     # Phase 2 (parallel): analyze the pages that loaded.
-    loads = [loaded for _url, loaded in loaded_pages]
-    budgeted = page_budget is not None
-    batch_analyze = getattr(pipeline, "analyze_batch", None)
-    if not observed:
-        if budgeted:
-            # Per-page deadlines interleave clock reads with analysis;
-            # the batch path has no per-page deadline, so budgeted runs
-            # keep the per-item route.
-            worker = _BudgetedAnalyze(pipeline, clock)
-            items = list(zip(loads, leftovers))
-            if pool is None:
-                verdicts = [worker(item) for item in items]
-            else:
-                verdicts = pool.map(worker, items)
-        elif pool is None:
-            # The reference path: one page at a time, exactly the
-            # sequence every other execution strategy must reproduce.
-            # Callers wanting columnar serial analysis use
-            # ``pipeline.analyze_batch`` directly.
-            verdicts = [pipeline.analyze(loaded) for loaded in loads]
-        elif batch_analyze is not None:
-            # Columnar pooled path: one scheduling round-trip and one
-            # batch-extraction pass per chunk, instead of the per-page
-            # dispatch whose overhead historically made the pool lose
-            # to serial.  The chunk count is backend-aware (process
-            # workers chunk per worker, the GIL-bound thread backend
-            # runs one chunk).  Verdicts are bit-identical to the
-            # per-page loop (the differential harness pins this), so
-            # this is purely a throughput change.
-            verdicts = pool.map_chunks(
-                batch_analyze, loads,
-                chunk_count=pool.columnar_chunks(len(loads)),
-            )
-        else:
-            verdicts = pool.map(pipeline.analyze, loads)
+    worker = _AnalyzeChunk(
+        pipeline, clock,
+        per_page=observed or pool is None,
+        trace_clock=tracer.clock if observed else None,
+    )
+    if pool is None:
+        results = worker(items)
     else:
-        worker = _TracedAnalyze(pipeline, tracer.clock, budgeted=budgeted)
-        items = list(zip(loads, leftovers)) if budgeted else loads
-        if pool is None:
-            observed_results = [worker(item) for item in items]
-        else:
-            # Cache counters accumulated inside process workers would
-            # otherwise be lost with the pipeline copy; the probe ships
-            # per-chunk deltas back for merging.  Chunked dispatch keeps
-            # one scheduling round-trip per chunk; per-page isolation
-            # lives inside the chunk worker.
-            cache = getattr(
-                getattr(getattr(pipeline, "detector", None), "extractor", None),
-                "cache",
-                None,
-            )
-            probes = [CacheCountsProbe(cache)] if cache is not None else []
-            observed_results = pool.map_observed_chunks(
-                _TracedChunk(worker), items, probes=probes,
-                chunk_count=pool.columnar_chunks(len(items)),
-            )
+        # Cache counters accumulated inside process workers would
+        # otherwise be lost with the pipeline copy; in observed runs
+        # the probe ships per-chunk deltas back for merging.
+        cache = getattr(
+            getattr(getattr(pipeline, "detector", None), "extractor", None),
+            "cache",
+            None,
+        )
+        probes = (
+            [CacheCountsProbe(cache)] if observed and cache is not None
+            else []
+        )
+        results = pool.map_observed_chunks(
+            worker, items, probes=probes,
+            chunk_count=pool.columnar_chunks(len(items)),
+        )
+    if observed:
         verdicts = []
-        for verdict, records, snapshot in observed_results:
+        for verdict, records, snapshot in results:
             verdicts.append(verdict)
             tracer.adopt(records)
             metrics.merge(snapshot)
+    else:
+        verdicts = results
 
     # Phase 3: assemble the report in input order, as a serial run would.
     for kind, payload in outcomes:
@@ -360,10 +299,10 @@ def analyze_many(
             report.quarantined.append(payload)
             continue
         index = payload
-        url, loaded = loaded_pages[index]
+        loaded, _remaining = items[index]
         report.analyzed.append(
             AnalyzedPage(
-                url=url,
+                url=urls_loaded[index],
                 verdict=verdicts[index],
                 attempts=loaded.attempts,
                 degradations=list(loaded.degradations),

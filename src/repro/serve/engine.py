@@ -80,7 +80,10 @@ class ServingEngine:
     ----------
     pipeline:
         A :class:`~repro.core.pipeline.KnowYourPhish` (accepting
-        ``analyze(loaded, deadline=...)``).
+        ``analyze_batch(loads, deadlines=...)``).  Every analysis goes
+        through it: unbudgeted requests dispatched in one tick share
+        one batch, a budgeted request is a batch of one analysed right
+        after its load — traced or not.
     browser:
         A :class:`~repro.resilience.browser.ResilientBrowser` over the
         (possibly fault-injected) web.
@@ -404,69 +407,43 @@ class ServingEngine:
         return True
 
     # -- dispatch ------------------------------------------------------
-    def _batchable(self) -> bool:
-        """True when this tick's analyses may run as one columnar batch.
-
-        Requires the pipeline to expose ``analyze_batch`` and both the
-        engine and pipeline tracers to be disabled: batched analysis
-        emits one ``analyze.batch`` span instead of per-request
-        ``serve.request``/``analyze`` trees, so traced runs keep the
-        per-request path to preserve their span dumps byte for byte.
-        """
-        return (
-            getattr(self.pipeline, "analyze_batch", None) is not None
-            and not self.tracer.enabled
-            and not getattr(
-                getattr(self.pipeline, "tracer", NULL_TRACER),
-                "enabled",
-                False,
-            )
-        )
-
     def _dispatch(self, t: float, responses) -> None:
-        # Unbudgeted requests dispatched in one tick can share a single
-        # columnar analysis pass: their loads still run serially in pop
-        # order (fault stalls advance the shared clock exactly as the
-        # per-request path would), and analysis itself neither advances
-        # nor reads simulated time, so deferring it to the end of the
-        # tick is invisible to the simulation.  Budgeted requests keep
-        # the per-request path — their deadline reads interleave with
-        # the clock — and flush any staged work first so memo fills and
-        # search-engine calls stay in pop order.
-        staged: list[tuple] = []
-        staged_analyses = 0
+        # Loads run now, serially in pop order (fault stalls advance the
+        # shared clock exactly as they would one request at a time);
+        # analyses are staged and run as one ``analyze_batch`` call when
+        # the stage is flushed.  Analysis neither advances nor reads
+        # simulated time, so deferring it to the end of the tick is
+        # invisible to the simulation.  A budgeted request flushes the
+        # stage before its load and is analysed as a batch of one right
+        # after it, so its deadline reads, memo fills and search-engine
+        # calls keep their place in clock order.
+        staged: list[tuple] = []      # (request, payload, service)
         staged_fps: set[str] = set()
-        batchable = self._batchable()
 
         def flush() -> None:
-            nonlocal staged_analyses
             if not staged:
                 return
-            loads = [
-                entry[2] for entry in staged if entry[0] == "analyze"
+            analyses = [
+                payload for _request, payload, _service in staged
+                if payload[0] == "analyze"
             ]
-            verdicts = (
-                self.pipeline.analyze_batch(loads) if loads else []
+            verdicts = iter(
+                self.pipeline.analyze_batch(
+                    [payload[1] for payload in analyses],
+                    deadlines=[payload[3] for payload in analyses],
+                )
+                if analyses else ()
             )
-            cursor = 0
-            for entry in staged:
-                kind, request = entry[0], entry[1]
-                if kind == "analyze":
-                    _kind, _request, _loaded, load_delta, fp = entry
-                    verdict = verdicts[cursor]
-                    cursor += 1
-                    self.memo.put(fp, verdict)
+            for request, payload, service in staged:
+                if payload[0] == "analyze":
+                    verdict = next(verdicts)
+                    self.memo.put(payload[2], verdict)
                     payload = ("verdict", verdict, False)
-                    service = load_delta + self.analysis_cost
-                elif kind == "dup":
-                    _kind, _request, load_delta, fp = entry
-                    # An earlier request in this same tick analyzed the
-                    # identical content; serially this lookup would hit
-                    # the memo it just filled.
-                    payload = ("verdict", self.memo.get(fp), True)
-                    service = load_delta + self.memo_cost
-                else:  # "ready": shed at load time, or a warm memo hit
-                    _kind, _request, payload, service = entry
+                elif payload[0] == "dup":
+                    # An earlier request in this same stage analyzed the
+                    # identical content; one at a time this lookup would
+                    # hit the memo it just filled.
+                    payload = ("verdict", self.memo.get(payload[1]), True)
                 heapq.heappush(
                     self._inflight,
                     (t + service, self._seq, request, payload),
@@ -474,7 +451,6 @@ class ServingEngine:
                 self._seq += 1
             staged.clear()
             staged_fps.clear()
-            staged_analyses = 0
 
         while (
             self._pending
@@ -501,88 +477,41 @@ class ServingEngine:
                         responses,
                     )
                 continue
-            if batchable and remaining is None:
-                staged.append(self._stage_load(request, staged_fps))
-                if staged[-1][0] == "analyze":
-                    staged_analyses += 1
-                continue
-            flush()
+            if remaining is not None:
+                flush()
             with self.tracer.span(
                 "serve.request", url=request.url, id=request.request_id
             ) as span:
-                payload, service = self._work(request, remaining)
+                payload, service = self._load(request, remaining, staged_fps)
                 span.set(kind=payload[0], service=service)
-            finish = t + service
-            heapq.heappush(
-                self._inflight, (finish, self._seq, request, payload)
-            )
-            self._seq += 1
+            staged.append((request, payload, service))
+            if remaining is not None:
+                flush()
         flush()
 
-    def _stage_load(self, request: ServeRequest, staged_fps: set):
-        """Load one unbudgeted request now; defer its analysis.
-
-        Mirrors :meth:`_work`'s unbudgeted path step for step — same
-        exception handling, same memo probe — but returns a staged
-        entry instead of analyzing inline.  Content already staged for
-        analysis in this tick is recorded as a ``dup`` (the serial loop
-        would hit the memo the earlier request filled) without probing
-        the memo now, keeping its hit/miss counters identical.
-        """
-        load_start = self.clock.now()
-        try:
-            loaded = self.browser.load(request.url)
-        except DeadlineExceeded:
-            return (
-                "ready", request, ("shed", SHED_DEADLINE),
-                self.clock.now() - load_start,
-            )
-        except (PageNotFound, RedirectLoopError, FetchError):
-            return (
-                "ready", request, ("shed", SHED_UPSTREAM),
-                self.clock.now() - load_start,
-            )
-        load_delta = self.clock.now() - load_start
-        fingerprint = snapshot_fingerprint(loaded.snapshot)
-        if fingerprint in staged_fps:
-            if self.quality is not None:
-                # Serially this lookup would hit the memo the earlier
-                # staged request filled: record it as the hit it is.
-                self.quality.observe_cache(
-                    "memo", True, now=self.clock.now()
-                )
-            return ("dup", request, load_delta, fingerprint)
-        memoized = self.memo.get(fingerprint)
-        if self.quality is not None:
-            self.quality.observe_cache(
-                "memo", memoized is not None, now=self.clock.now()
-            )
-        if memoized is not None:
-            return (
-                "ready", request, ("verdict", memoized, True),
-                load_delta + self.memo_cost,
-            )
-        staged_fps.add(fingerprint)
-        return ("analyze", request, loaded, load_delta, fingerprint)
-
-    def _work(self, request: ServeRequest, remaining: float | None):
-        """Load + analyze one request; return (payload, service_time).
+    def _load(
+        self, request: ServeRequest, remaining: float | None, staged_fps: set
+    ):
+        """Load one request now and stage its work; (payload, service).
 
         The service time is the load's simulated duration (measured on
         the shared clock, which fault stalls and retry backoffs
-        advance) plus the modelled analysis cost.  The payload is
-        either ``("verdict", PageVerdict, from_memo)`` or
-        ``("shed", reason)``.
+        advance) plus the modelled analysis or memo cost.  The payload
+        is ``("shed", reason)`` or a memoized ``("verdict", PageVerdict,
+        True)``, both final, or a pending ``("analyze", loaded,
+        fingerprint, deadline)`` / ``("dup", fingerprint)`` that
+        :meth:`_dispatch` resolves when it flushes the stage.  Content
+        already staged for analysis is a ``dup`` (one request at a time
+        it would hit the memo the earlier request filled) and does not
+        probe the memo now, keeping its hit/miss counters in order.
         """
         load_start = self.clock.now()
-        deadline = (
-            Deadline(remaining, clock=self.clock)
-            if remaining is not None
-            else None
-        )
         try:
-            if deadline is not None:
-                loaded = self.browser.load(request.url, deadline=deadline)
+            if remaining is not None:
+                loaded = self.browser.load(
+                    request.url,
+                    deadline=Deadline(remaining, clock=self.clock),
+                )
             else:
                 loaded = self.browser.load(request.url)
         except DeadlineExceeded:
@@ -593,6 +522,14 @@ class ServingEngine:
         left = remaining - load_delta if remaining is not None else None
 
         fingerprint = snapshot_fingerprint(loaded.snapshot)
+        if fingerprint in staged_fps:
+            if self.quality is not None:
+                # Record the memo hit this lookup is, one request at a
+                # time, without probing the memo before it is filled.
+                self.quality.observe_cache(
+                    "memo", True, now=self.clock.now()
+                )
+            return ("dup", fingerprint), load_delta + self.memo_cost
         memoized = self.memo.get(fingerprint)
         if self.quality is not None:
             self.quality.observe_cache(
@@ -606,14 +543,14 @@ class ServingEngine:
             # Loading ate the budget; analyzing would finish past the
             # deadline, so the answer would be useless — shed instead.
             return ("shed", SHED_DEADLINE), load_delta
-        verdict = self.pipeline.analyze(
-            loaded,
-            deadline=(
-                Deadline(left, clock=self.clock) if left is not None else None
-            ),
+        staged_fps.add(fingerprint)
+        deadline = (
+            Deadline(left, clock=self.clock) if left is not None else None
         )
-        self.memo.put(fingerprint, verdict)
-        return ("verdict", verdict, False), load_delta + self.analysis_cost
+        return (
+            ("analyze", loaded, fingerprint, deadline),
+            load_delta + self.analysis_cost,
+        )
 
     # -- completion ----------------------------------------------------
     def _complete(self, request, payload, finish: float, responses) -> None:

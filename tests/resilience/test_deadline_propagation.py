@@ -32,20 +32,57 @@ def detector(tiny_world):
     return model
 
 
+def _flagged(detector, snapshot) -> bool:
+    vector = detector.extractor.extract(snapshot)
+    return float(detector.predict_proba(vector.reshape(1, -1))[0]) \
+        >= detector.threshold
+
+
 def _flagged_snapshot(detector, tiny_world):
     for page in tiny_world.dataset("phishTest"):
-        vector = detector.extractor.extract(page.snapshot)
-        if float(detector.predict_proba(vector.reshape(1, -1))[0]) \
-                >= detector.threshold:
+        if _flagged(detector, page.snapshot):
             return page.snapshot
     raise AssertionError("no flagged phishing page in tiny world")
 
 
-def _pipeline(detector, tiny_world):
+def _pipeline(detector, tiny_world, search=None):
     return KnowYourPhish(
         detector,
-        TargetIdentifier(tiny_world.search, ocr=SimulatedOcr(0.02)),
+        TargetIdentifier(
+            search or tiny_world.search, ocr=SimulatedOcr(0.02)
+        ),
     )
+
+
+class _SlowSearch:
+    """The world's search engine, each query taking one simulated second."""
+
+    def __init__(self, search, clock):
+        self.search = search
+        self.clock = clock
+        self.queries = 0
+
+    def query(self, terms, top_k=10):
+        self.queries += 1
+        self.clock.advance(1.0)
+        return self.search.query(terms, top_k=top_k)
+
+    def result_rdns(self, terms, top_k=10):
+        return {result.rdn for result in self.query(terms, top_k=top_k)}
+
+
+def _multi_query_snapshot(detector, tiny_world):
+    """A flagged page whose identification sends two or more queries."""
+    for page in tiny_world.dataset("phishTest"):
+        if not _flagged(detector, page.snapshot):
+            continue
+        search = _SlowSearch(tiny_world.search, ManualClock())
+        TargetIdentifier(search, ocr=SimulatedOcr(0.02)).identify(
+            page.snapshot
+        )
+        if search.queries >= 2:
+            return page.snapshot
+    raise AssertionError("no multi-query flagged page in tiny world")
 
 
 class TestPipelineDeadline:
@@ -91,6 +128,98 @@ class TestPipelineDeadline:
         verdict = pipeline.analyze(page.snapshot, deadline=deadline)
         if verdict.verdict == "legitimate":
             assert "deadline_exhausted" not in verdict.degradations
+
+
+class TestAnalyzeIsABatchOfOne:
+    """``analyze(page, deadline=d)`` is ``analyze_batch([page], [d])[0]``.
+
+    Each side runs on its own fresh clock and slow search engine, so
+    both see the same deadline trajectory.
+    """
+
+    @staticmethod
+    def _both_ways(detector, tiny_world, snapshot, budget, spent=0.0):
+        verdicts = []
+        for batched in (False, True):
+            clock = ManualClock()
+            pipeline = _pipeline(
+                detector, tiny_world, search=_SlowSearch(
+                    tiny_world.search, clock
+                ),
+            )
+            deadline = Deadline(budget, clock=clock)
+            clock.advance(spent)
+            if batched:
+                [verdict] = pipeline.analyze_batch(
+                    [snapshot], deadlines=[deadline]
+                )
+            else:
+                verdict = pipeline.analyze(snapshot, deadline=deadline)
+            verdicts.append(verdict)
+        return verdicts
+
+    def test_expired_deadline(self, detector, tiny_world):
+        single, batched = self._both_ways(
+            detector, tiny_world, _flagged_snapshot(detector, tiny_world),
+            budget=1.0, spent=2.0,
+        )
+        assert single == batched
+        assert single.degradations == ["deadline_exhausted"]
+
+    def test_roomy_deadline(self, detector, tiny_world):
+        single, batched = self._both_ways(
+            detector, tiny_world, _flagged_snapshot(detector, tiny_world),
+            budget=3600.0,
+        )
+        assert single == batched
+        assert not single.degraded
+
+    def test_deadline_expiring_during_identification(
+        self, detector, tiny_world
+    ):
+        # The first query fits in the 0.5 s budget and takes 1 s; the
+        # check before the second query finds the budget gone.
+        single, batched = self._both_ways(
+            detector, tiny_world,
+            _multi_query_snapshot(detector, tiny_world), budget=0.5,
+        )
+        assert single == batched
+        assert "deadline_exhausted" in single.degradations
+        assert single.identification is None
+
+    def test_mixed_batch_degrades_only_expired_pages(
+        self, detector, tiny_world
+    ):
+        pipeline = _pipeline(detector, tiny_world)
+        flagged = [
+            page.snapshot for page in tiny_world.dataset("phishTest")
+            if _flagged(detector, page.snapshot)
+        ][:3]
+        assert len(flagged) == 3, "tiny world flags too few phishing pages"
+        legitimate = next(
+            page.snapshot for page in tiny_world.dataset("english")
+            if not _flagged(detector, page.snapshot)
+        )
+        pages = flagged + [legitimate]
+        clock = ManualClock()
+        expired = Deadline(1.0, clock=clock)
+        roomy = Deadline(3600.0, clock=clock)
+        clock.advance(2.0)
+        budgeted = pipeline.analyze_batch(
+            pages, deadlines=[roomy, expired, None, expired]
+        )
+        unbudgeted = pipeline.analyze_batch(pages)
+        assert budgeted[1].degradations == ["deadline_exhausted"]
+        assert budgeted[1].targets == []
+        # The roomy, unlimited and legitimate pages are untouched.
+        for index in (0, 2, 3):
+            assert budgeted[index] == unbudgeted[index]
+
+    def test_deadlines_must_match_pages(self, detector, tiny_world):
+        pipeline = _pipeline(detector, tiny_world)
+        snapshot = _flagged_snapshot(detector, tiny_world)
+        with pytest.raises(ValueError):
+            pipeline.analyze_batch([snapshot, snapshot], deadlines=[None])
 
 
 class TestBatchPageBudget:

@@ -142,16 +142,21 @@ class TestResilientBrowserLoad:
         assert result.degradations == []
 
 
+class _FakeVerdict:
+    def __init__(self, degraded):
+        self.degraded = degraded
+        self.verdict = "legitimate"
+
+
 class _FakePipeline:
-    """Counts pages; flags any page whose title contains 'phish'."""
+    """Calls every page legitimate; records each analysis batch's size."""
 
-    def analyze(self, loaded):
-        class Verdict:
-            def __init__(self, degraded):
-                self.degraded = degraded
-                self.verdict = "legitimate"
+    def __init__(self):
+        self.batches = []
 
-        return Verdict(degraded=bool(loaded.degradations))
+    def analyze_batch(self, loads, deadlines=None):
+        self.batches.append(len(loads))
+        return [_FakeVerdict(bool(load.degradations)) for load in loads]
 
 
 class TestAnalyzeMany:
@@ -201,28 +206,22 @@ class TestAnalyzeMany:
         assert report.analyzed[0].attempts == 1
 
     def test_batch_pipeline_used_and_report_equivalent(self, web):
-        class _FakeBatchPipeline(_FakePipeline):
-            def __init__(self):
-                self.batches = []
-
-            def analyze_batch(self, loads):
-                self.batches.append(len(loads))
-                return [self.analyze(load) for load in loads]
-
         from repro.parallel import WorkerPool
 
         urls = ["http://a.com/", "http://missing.com/", "http://short.com/x",
                 "http://a.com/"]
-        per_page = analyze_many(_FakePipeline(), _browser(web), urls)
-        batch_pipeline = _FakeBatchPipeline()
+        serial_pipeline = _FakePipeline()
+        per_page = analyze_many(serial_pipeline, _browser(web), urls)
+        batch_pipeline = _FakePipeline()
         with WorkerPool(workers=3, backend="thread") as pool:
             batched = analyze_many(
                 batch_pipeline, _browser(web), urls, pool=pool
             )
-        # the three loadable pages went through batch analysis — one
-        # chunk, because the thread backend gains nothing from fanning
-        # a GIL-bound columnar pass out — and the report is
-        # indistinguishable from the per-page serial path
+        # serially each loadable page is a batch of one; pooled, the
+        # three went through one columnar chunk, because the thread
+        # backend gains nothing from fanning a GIL-bound pass out — and
+        # the report is indistinguishable from the serial one
+        assert serial_pipeline.batches == [1, 1, 1]
         assert batch_pipeline.batches == [3]
         assert [p.url for p in batched.analyzed] == \
             [p.url for p in per_page.analyzed]

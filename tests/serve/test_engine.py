@@ -69,15 +69,22 @@ class StubBrowser:
 
 
 class StubPipeline:
-    """Returns a canned verdict; records what it analyzed."""
+    """Returns canned verdicts; records each batch and its deadlines."""
 
     def __init__(self, degraded_urls=()):
         self.degraded_urls = set(degraded_urls)
         self.analyzed = []
+        self.batches = []
+        self.deadlines = []
 
-    def analyze(self, loaded, deadline=None):
-        content = loaded.snapshot.content
-        self.analyzed.append(content)
+    def analyze_batch(self, pages, deadlines=None):
+        contents = [page.snapshot.content for page in pages]
+        self.analyzed.extend(contents)
+        self.batches.append(contents)
+        self.deadlines.append(list(deadlines or [None] * len(pages)))
+        return [self._verdict(content) for content in contents]
+
+    def _verdict(self, content):
         if content in self.degraded_urls:
             return PageVerdict(
                 verdict="phish", confidence=0.9, targets=[],
@@ -86,18 +93,6 @@ class StubPipeline:
         return PageVerdict(
             verdict="legitimate", confidence=0.1, targets=["mld"]
         )
-
-
-class BatchStubPipeline(StubPipeline):
-    """Stub that also exposes ``analyze_batch``, recording each batch."""
-
-    def __init__(self, degraded_urls=()):
-        super().__init__(degraded_urls)
-        self.batches = []
-
-    def analyze_batch(self, pages, tracer=None, metrics=None):
-        self.batches.append([page.snapshot.content for page in pages])
-        return [self.analyze(page) for page in pages]
 
 
 def _arrivals(*specs):
@@ -416,10 +411,11 @@ class TestDeterminismAndObservability:
 class TestMicroBatching:
     """Tick-level batched analysis must be invisible to the simulation.
 
-    When the pipeline exposes ``analyze_batch`` and nothing is traced
-    or budgeted, the engine runs all analyses dispatched in one tick as
-    a single batch.  Every observable — responses, memo counters,
-    latencies — must match the per-request path exactly.
+    Every analysis goes through ``analyze_batch``: unbudgeted requests
+    dispatched in one tick share one batch, and budgeted requests are
+    analysed as batches of one in clock order.  Every observable —
+    responses, memo counters, latencies — must not depend on how the
+    analyses were grouped, nor on whether the engine is traced.
     """
 
     WORKLOAD = (
@@ -447,8 +443,10 @@ class TestMicroBatching:
         return report, pipeline
 
     def test_batched_run_matches_per_request_run_exactly(self):
-        batched, batch_pipeline = self._run(BatchStubPipeline())
-        serial, serial_pipeline = self._run(StubPipeline())
+        batched, batch_pipeline = self._run(StubPipeline())
+        # A budget this roomy sheds nothing but makes every analysis a
+        # batch of one: the per-request reference.
+        serial, serial_pipeline = self._run(StubPipeline(), budget=100.0)
         assert batched.responses == serial.responses
         assert batched.memo_hits == serial.memo_hits
         assert batched.memo_misses == serial.memo_misses
@@ -457,9 +455,12 @@ class TestMicroBatching:
         assert batch_pipeline.batches == [
             ["http://a.com/", "http://b.com/"]
         ]
+        assert serial_pipeline.batches == [
+            ["http://a.com/"], ["http://b.com/"]
+        ]
 
     def test_within_tick_duplicate_and_warm_hit_take_memo_path(self):
-        report, pipeline = self._run(BatchStubPipeline())
+        report, pipeline = self._run(StubPipeline())
         by_url = {}
         for response in report.responses:
             by_url.setdefault(response.url, response)
@@ -469,21 +470,41 @@ class TestMicroBatching:
         assert memo_latency == pytest.approx(0.1 * 0.1)  # memo_cost
         assert by_url["http://dead.com/"].shed_reason == SHED_UPSTREAM
 
-    def test_budgeted_requests_bypass_batching(self):
-        report, pipeline = self._run(BatchStubPipeline(), budget=1.0)
-        assert pipeline.batches == []
-        assert pipeline.analyzed          # per-request path still ran
+    def test_budgeted_requests_are_batches_of_one_in_clock_order(self):
+        report, pipeline = self._run(StubPipeline(), budget=1.0)
+        assert pipeline.batches == [["http://a.com/"], ["http://b.com/"]]
         assert report.completed_count == 4
+        # Between unbudgeted requests of one tick, a budgeted request
+        # flushes the stage before its load and is analysed, with its
+        # deadline, right after it.
+        engine, _browser, pipeline = _engine(workers=4)
+        engine.run([
+            ServeRequest(request_id=0, url="http://u0.com/", arrival=0.0),
+            ServeRequest(request_id=1, url="http://b.com/", arrival=0.0,
+                         budget=1.0),
+            ServeRequest(request_id=2, url="http://u1.com/", arrival=0.0),
+            ServeRequest(request_id=3, url="http://u2.com/", arrival=0.0),
+        ])
+        assert pipeline.batches == [
+            ["http://u0.com/"],
+            ["http://b.com/"],
+            ["http://u1.com/", "http://u2.com/"],
+        ]
+        assert [
+            [deadline is not None for deadline in batch]
+            for batch in pipeline.deadlines
+        ] == [[False], [True], [False, False]]
 
-    def test_traced_engine_bypasses_batching(self):
+    def test_traced_engine_batches_like_an_untraced_one(self):
         from repro.obs import Tracer
 
         tracer = Tracer(clock=ManualClock())
-        report, pipeline = self._run(BatchStubPipeline(), tracer=tracer)
-        assert pipeline.batches == []
+        traced, traced_pipeline = self._run(StubPipeline(), tracer=tracer)
+        plain, plain_pipeline = self._run(StubPipeline())
+        assert traced_pipeline.batches == plain_pipeline.batches
+        assert traced.responses == plain.responses
         names = [span.name for span in tracer.iter_spans()]
         assert names.count("serve.request") == 5  # sheds are spanned too
-        assert report.completed_count == 4
 
 
 class TestValidation:

@@ -167,11 +167,12 @@ class StubPipeline:
     def __init__(self):
         self.analyzed = []
 
-    def analyze(self, loaded, deadline=None):
-        self.analyzed.append(loaded.snapshot.content)
-        return PageVerdict(
-            verdict="legitimate", confidence=0.1, targets=["mld"]
-        )
+    def analyze_batch(self, pages, deadlines=None):
+        self.analyzed.extend(page.snapshot.content for page in pages)
+        return [
+            PageVerdict(verdict="legitimate", confidence=0.1, targets=["mld"])
+            for _page in pages
+        ]
 
 
 def _engine(clock=None, browser=None, workers=2, queue_limit=8, **kwargs):
