@@ -17,8 +17,11 @@ measured and gated here:
 * **extraction stage** — feature extraction isolated from the load and
   target-identification floors (serial and stateful by contract, so no
   extraction rewrite can move them).  The cold columnar pass must hold
-  at least 3x the per-page loop on this runner; the committed artifact
-  records the >5x figure against the pre-batch serial baseline.
+  at least 2x the per-page loop on this runner.  The per-page loop
+  shares the columnar pass's URL parser and canonicaliser, so the
+  ratio measures cross-page sharing and stacked reductions only; the
+  committed artifact also records the cold columnar rate against the
+  pre-batch serial baseline.
 
 Both tables land in ``results/throughput.txt`` and, machine-readable
 with the pre-batch baseline attached, ``results/throughput.json``.
@@ -91,7 +94,7 @@ def test_extraction_stage_speedup(extraction_rows):
     # The differential guarantee re-checked on live corpus data.
     assert all(r["bit_identical"] for r in rows)
     batch_cold = rows[1]
-    assert batch_cold["speedup"] >= 3.0, (
+    assert batch_cold["speedup"] >= 2.0, (
         f"cold batch extraction reached only {batch_cold['speedup']:.2f}x "
         f"the per-page loop"
     )

@@ -14,6 +14,12 @@ and exposes:
 For IP-based URLs the RDN is undefined; RDN-based distributions are then
 empty, reproducing the paper's Section VII-B observation that such pages
 yield several null features.
+
+Every parse, term extraction and distribution goes through a
+:class:`BatchMemo`.  The ``DataSources`` of one batch share a memo, so
+a link, title or host that recurs across pages, or a page that target
+identification reads again after extraction, is parsed and
+canonicalised once.
 """
 
 from __future__ import annotations
@@ -39,9 +45,71 @@ F2_DISTRIBUTION_NAMES = (
 ALL_DISTRIBUTION_NAMES = F2_DISTRIBUTION_NAMES + ("copyright", "image")
 
 
+#: Sentinel distinguishing "never parsed" from "parsed to a failure".
+_UNPARSED = object()
+
+
 def _url_identity(url: ParsedUrl) -> str:
     """Ownership identity of a URL: its RDN, or the raw host for IPs."""
     return url.rdn if url.rdn else url.fqdn
+
+
+class BatchMemo:
+    """Memo of the pure string work behind :class:`DataSources`.
+
+    Holds URL parses (with :func:`~repro.urls.parsing.parse_url`'s host
+    memo), extracted terms and term distributions, each keyed by its
+    input.  Every value is a pure function of its key and of
+    :attr:`psl`, so a memo hit equals a fresh computation: sharing a
+    memo removes repeated work and never changes a result.  A memo
+    grows with every distinct string it sees, so it lives for one
+    batch (one ``analyze_batch`` or ``extract_batch`` call).
+    """
+
+    def __init__(self, psl: PublicSuffixList | None = None) -> None:
+        self.psl = psl or default_psl()
+        self.hosts: dict = {}
+        self._urls: dict = {}
+        self._terms: dict[str, tuple[str, ...]] = {}
+        self._distributions: dict[tuple[str, ...], TermDistribution] = {}
+
+    def try_parse(self, url: str) -> ParsedUrl | None:
+        """``parse_url(url)``, or ``None`` where that raises."""
+        parsed = self._urls.get(url, _UNPARSED)
+        if parsed is _UNPARSED:
+            try:
+                parsed = parse_url(url, self.psl, self.hosts)
+            except UrlParseError:
+                parsed = None
+            self._urls[url] = parsed
+        return parsed
+
+    def parse(self, url: str) -> ParsedUrl:
+        """``parse_url(url)``: an unparsable URL raises on every call."""
+        parsed = self.try_parse(url)
+        return parsed if parsed is not None else parse_url(
+            url, self.psl, self.hosts
+        )
+
+    def terms(self, text: str) -> tuple[str, ...]:
+        """``extract_terms(text)``, as a tuple safe to share."""
+        terms = self._terms.get(text)
+        if terms is None:
+            terms = self._terms[text] = tuple(extract_terms(text))
+        return terms
+
+    def distribution(self, terms: tuple[str, ...]) -> TermDistribution:
+        """``TermDistribution.from_terms(terms)``.
+
+        A distribution is a pure function of its term *sequence*
+        (``Counter`` insertion order fixes its iteration order) and is
+        immutable, so pages with equal term sequences share one.
+        """
+        distribution = self._distributions.get(terms)
+        if distribution is None:
+            distribution = TermDistribution.from_terms(terms)
+            self._distributions[terms] = distribution
+        return distribution
 
 
 class DataSources:
@@ -52,7 +120,8 @@ class DataSources:
     snapshot:
         The scraped page.
     psl:
-        Public-suffix list for URL decomposition.
+        Public-suffix list for URL decomposition (default: the memo's,
+        or the bundled snapshot).
     ocr:
         OCR engine for the ``image`` distribution; ``None`` disables OCR
         (``D_image`` is then empty) — OCR is slow and only consulted on
@@ -68,6 +137,12 @@ class DataSources:
         Stable content key of ``snapshot`` (a
         :func:`~repro.parallel.cache.snapshot_fingerprint`), namespacing
         the shared cache.
+    memo:
+        Optional :class:`BatchMemo` shared with the other pages of a
+        batch; without one, the instance makes its own.  A memo only
+        spares repeated work and never changes a value.  It must have
+        been built for the same public-suffix list (``psl`` may then be
+        omitted); a mismatch raises ``ValueError``.
     """
 
     def __init__(
@@ -77,9 +152,15 @@ class DataSources:
         ocr: SimulatedOcr | None = None,
         distribution_cache=None,
         cache_key: str | None = None,
+        memo: BatchMemo | None = None,
     ):
+        if memo is None:
+            memo = BatchMemo(psl)
+        elif psl is not None and psl is not memo.psl:
+            raise ValueError("memo was built for a different suffix list")
         self.snapshot = snapshot
-        self.psl = psl or default_psl()
+        self.memo = memo
+        self.psl = memo.psl
         self.ocr = ocr
         if distribution_cache is not None and cache_key is None:
             raise ValueError("distribution_cache requires a cache_key")
@@ -93,23 +174,19 @@ class DataSources:
     # parsed URL views
     # ------------------------------------------------------------------
     def _parse_many(self, urls) -> list[ParsedUrl]:
-        parsed = []
-        for url in urls:
-            try:
-                parsed.append(parse_url(url, self.psl))
-            except UrlParseError:
-                continue
-        return parsed
+        """The parsable ``urls``, parsed; the others are skipped."""
+        parsed = map(self.memo.try_parse, urls)
+        return [url for url in parsed if url is not None]
 
     @cached_property
     def starting(self) -> ParsedUrl:
         """Parsed starting URL."""
-        return parse_url(self.snapshot.starting_url, self.psl)
+        return self.memo.parse(self.snapshot.starting_url)
 
     @cached_property
     def landing(self) -> ParsedUrl:
         """Parsed landing URL."""
-        return parse_url(self.snapshot.landing_url, self.psl)
+        return self.memo.parse(self.snapshot.landing_url)
 
     @cached_property
     def redirection_chain(self) -> list[ParsedUrl]:
@@ -161,27 +238,28 @@ class DataSources:
     # ------------------------------------------------------------------
     # term helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def free_url_terms(url: ParsedUrl) -> list[str]:
+    def free_url_terms(self, url: ParsedUrl) -> tuple[str, ...]:
         """Terms of a URL's FreeURL (subdomains, path, query)."""
-        return extract_terms(url.free_url)
+        return self.memo.terms(url.free_url)
 
-    @staticmethod
-    def rdn_terms(url: ParsedUrl) -> list[str]:
+    def rdn_terms(self, url: ParsedUrl) -> tuple[str, ...]:
         """Terms of a URL's RDN (empty for IP-based URLs)."""
-        return extract_terms(url.rdn) if url.rdn else []
+        return self.memo.terms(url.rdn) if url.rdn else ()
+
+    def _text_distribution(self, text: str) -> TermDistribution:
+        return self.memo.distribution(self.memo.terms(text))
 
     def _free_url_distribution(self, urls) -> TermDistribution:
         terms: list[str] = []
         for url in urls:
             terms.extend(self.free_url_terms(url))
-        return TermDistribution.from_terms(terms)
+        return self.memo.distribution(tuple(terms))
 
     def _rdn_distribution(self, urls) -> TermDistribution:
         terms: list[str] = []
         for url in urls:
             terms.extend(self.rdn_terms(url))
-        return TermDistribution.from_terms(terms)
+        return self.memo.distribution(tuple(terms))
 
     # ------------------------------------------------------------------
     # Table I distributions
@@ -189,17 +267,17 @@ class DataSources:
     @cached_property
     def d_text(self) -> TermDistribution:
         """``D_text`` — terms of the rendered body text."""
-        return TermDistribution.from_text(self.snapshot.text)
+        return self._text_distribution(self.snapshot.text)
 
     @cached_property
     def d_title(self) -> TermDistribution:
         """``D_title`` — terms of the page title."""
-        return TermDistribution.from_text(self.snapshot.title)
+        return self._text_distribution(self.snapshot.title)
 
     @cached_property
     def d_copyright(self) -> TermDistribution:
         """``D_copyright`` — terms of the copyright notice."""
-        return TermDistribution.from_text(self.snapshot.copyright_notice)
+        return self._text_distribution(self.snapshot.copyright_notice)
 
     @cached_property
     def d_image(self) -> TermDistribution:
@@ -217,17 +295,17 @@ class DataSources:
         except OcrFailure:
             self.degradation_notes.add("ocr_failed")
             return TermDistribution()
-        return TermDistribution.from_text(text)
+        return self._text_distribution(text)
 
     @cached_property
     def d_start(self) -> TermDistribution:
         """``D_start`` — FreeURL terms of the starting URL."""
-        return TermDistribution.from_terms(self.free_url_terms(self.starting))
+        return self.memo.distribution(self.free_url_terms(self.starting))
 
     @cached_property
     def d_land(self) -> TermDistribution:
         """``D_land`` — FreeURL terms of the landing URL."""
-        return TermDistribution.from_terms(self.free_url_terms(self.landing))
+        return self.memo.distribution(self.free_url_terms(self.landing))
 
     @cached_property
     def d_intlog(self) -> TermDistribution:
@@ -242,12 +320,12 @@ class DataSources:
     @cached_property
     def d_startrdn(self) -> TermDistribution:
         """``D_startrdn`` — RDN terms of the starting URL."""
-        return TermDistribution.from_terms(self.rdn_terms(self.starting))
+        return self.memo.distribution(self.rdn_terms(self.starting))
 
     @cached_property
     def d_landrdn(self) -> TermDistribution:
         """``D_landrdn`` — RDN terms of the landing URL."""
-        return TermDistribution.from_terms(self.rdn_terms(self.landing))
+        return self.memo.distribution(self.rdn_terms(self.landing))
 
     @cached_property
     def d_intrdn(self) -> TermDistribution:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.datasources import DataSources
+from repro.core.datasources import BatchMemo, DataSources
 from repro.core.features import (
     content,
     mld_usage,
@@ -266,6 +266,7 @@ class FeatureExtractor:
         snapshots,
         tracer: AnyTracer = NULL_TRACER,
         keys: list[str | None] | None = None,
+        memo: BatchMemo | None = None,
     ) -> np.ndarray:
         """Columnar feature matrix for a snapshot batch.
 
@@ -274,12 +275,14 @@ class FeatureExtractor:
         bit-identical to stacking :meth:`extract` outputs.  ``keys``
         optionally passes precomputed snapshot fingerprints; with a
         cache attached, warm rows skip columnarization entirely.
+        ``memo`` optionally shares the caller's
+        :class:`~repro.core.datasources.BatchMemo`.
         """
         # Local import: the batch module builds on this one.
         from repro.core.features.batch import BatchExtractor
 
         return BatchExtractor(self).extract_batch(
-            snapshots, tracer=tracer, keys=keys
+            snapshots, tracer=tracer, keys=keys, memo=memo
         )
 
     def extract_many(self, snapshots, pool=None) -> np.ndarray:

@@ -19,20 +19,13 @@ from __future__ import annotations
 
 from repro.core.datasources import DataSources
 from repro.text.distributions import TermDistribution
-from repro.text.terms import canonicalize
+from repro.text.terms import compact_canonical
 
 BINARY_SOURCES = ("text", "title", "intlog", "extlog", "intlink", "extlink")
 MASS_SOURCES = ("title", "intlog", "extlog", "intlink", "extlink")
 
 N_FEATURES = 2 * len(BINARY_SOURCES) + 2 * len(MASS_SOURCES)
 assert N_FEATURES == 22
-
-
-def _canonical_mld(mld: str | None) -> str:
-    """The mld as a single canonical letter string ('' when absent)."""
-    if not mld:
-        return ""
-    return canonicalize(mld).replace(" ", "")
 
 
 def _appears_in(mld: str, distribution: TermDistribution) -> float:
@@ -49,8 +42,8 @@ def _substring_mass(mld: str, distribution: TermDistribution) -> float:
 
 def compute(sources: DataSources) -> list[float]:
     """Compute the 22 f3 features for one page."""
-    start_mld = _canonical_mld(sources.starting.mld)
-    land_mld = _canonical_mld(sources.landing.mld)
+    start_mld = compact_canonical(sources.starting.mld or "")
+    land_mld = compact_canonical(sources.landing.mld or "")
 
     features: list[float] = []
     for mld in (start_mld, land_mld):

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from repro.core.datasources import DataSources
 from repro.resilience.errors import OcrFailure
-from repro.text.terms import extract_terms
 from repro.web.ocr import SimulatedOcr
 
 #: Number of keyterms per list (N=5 "proved sufficient to represent a
@@ -86,15 +85,14 @@ class KeytermExtractor:
     def _visible_frequencies(sources: DataSources) -> Counter:
         """Term frequencies over the visible parts of the page."""
         counts: Counter = Counter()
-        counts.update(extract_terms(sources.snapshot.text))
-        counts.update(extract_terms(sources.snapshot.title))
-        counts.update(extract_terms(sources.snapshot.copyright_notice))
-        counts.update(DataSources.free_url_terms(sources.starting))
-        counts.update(DataSources.rdn_terms(sources.starting))
-        counts.update(DataSources.free_url_terms(sources.landing))
-        counts.update(DataSources.rdn_terms(sources.landing))
+        snapshot = sources.snapshot
+        for text in (snapshot.text, snapshot.title, snapshot.copyright_notice):
+            counts.update(sources.memo.terms(text))
+        for url in (sources.starting, sources.landing):
+            counts.update(sources.free_url_terms(url))
+            counts.update(sources.rdn_terms(url))
         for url in sources.href_links:
-            counts.update(DataSources.free_url_terms(url))
+            counts.update(sources.free_url_terms(url))
         return counts
 
     def _rank(self, candidates: set[str], frequencies: Counter) -> list[str]:
@@ -146,7 +144,7 @@ class KeytermExtractor:
                 # skipped), exactly as if no OCR engine were configured.
                 sources.degradation_notes.add("ocr_failed")
                 return keyterms
-            image_terms = set(extract_terms(recognised))
+            image_terms = set(sources.memo.terms(recognised))
             all_source_terms = set().union(*term_sets.values())
             ocr_candidates = image_terms & all_source_terms
             # Image terms may be absent from the visible frequency count

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.datasources import DataSources
+from repro.core.datasources import BatchMemo, DataSources
 from repro.core.detector import PhishingDetector
 from repro.core.features.extractor import group_means
 from repro.core.target import TargetIdentification, TargetIdentifier
@@ -278,9 +278,10 @@ class KnowYourPhish:
             else [None] * len(snapshots)
         )
 
+        memo = BatchMemo(self.detector.extractor.psl)
         with tracer.span("analyze", n_pages=len(pages)) as root:
             matrix = self.detector.extractor.extract_batch(
-                snapshots, tracer=tracer, keys=keys
+                snapshots, tracer=tracer, keys=keys, memo=memo
             )
             with tracer.span("classify", n_pages=len(pages)):
                 confidences = self.detector.predict_proba(matrix)
@@ -294,7 +295,7 @@ class KnowYourPhish:
                     flagged += 1
                     final, identification = self._identify(
                         snapshot, keys[index], deadlines[index], tags,
-                        tracer, metrics,
+                        tracer, metrics, memo,
                     )
                 metrics.inc("verdicts_total", verdict=final)
                 if tags:
@@ -326,14 +327,16 @@ class KnowYourPhish:
         tags: list[str],
         tracer: AnyTracer,
         metrics: AnyMetrics,
+        memo: BatchMemo,
     ) -> tuple[str, TargetIdentification | None]:
         """Target identification of one flagged page: its final label.
 
         Returns the label and the identification (``None`` for a
         detector-only verdict), appending any degradation tags to
-        ``tags``.  Fresh :class:`DataSources` are built here, so only
-        flagged pages pay for them; they share the extractor's
-        distribution cache through ``key``.
+        ``tags``.  The page's :class:`DataSources` sit on the batch's
+        ``memo``, so the parses, terms and distributions extraction
+        computed are read back rather than redone, and share the
+        extractor's distribution cache through ``key``.
         """
         if self.identifier is None:
             return "phish", None
@@ -343,8 +346,7 @@ class KnowYourPhish:
         cache = self.detector.extractor.cache
         sources = DataSources(
             snapshot,
-            psl=self.detector.extractor.psl,
-            ocr=self.identifier.ocr,
+            memo=memo,
             distribution_cache=cache.distributions if cache else None,
             cache_key=key,
         )

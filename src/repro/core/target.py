@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.core.datasources import DataSources
 from repro.core.keyterms import KeytermExtractor, Keyterms
-from repro.text.terms import canonicalize
+from repro.text.terms import compact_canonical
 from repro.urls.public_suffix import PublicSuffixList, default_psl
 from repro.web.ocr import SimulatedOcr
 from repro.web.page import PageSnapshot
@@ -143,7 +143,7 @@ class TargetIdentifier:
         """
         sources = (
             page if isinstance(page, DataSources)
-            else DataSources(page, psl=self.psl, ocr=self.ocr)
+            else DataSources(page, psl=self.psl)
         )
         keyterms = self.keyterm_extractor.extract(sources)
         suspected_rdns = {
@@ -207,8 +207,9 @@ class TargetIdentifier:
             return TargetIdentification(
                 verdict="suspicious", step=5, keyterms=keyterms
             )
+        haystacks = self._haystacks(sources)
         for mld in candidates:
-            candidates[mld] = self._count_appearances(mld, sources)
+            candidates[mld] = self._count_appearances(mld, haystacks)
         ranked = sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
         targets = [mld for mld, _count in ranked[: self.top_k]]
         return TargetIdentification(
@@ -233,7 +234,7 @@ class TargetIdentifier:
         self, mld: str, sources: DataSources
     ) -> bool:
         """Does ``mld`` show up in a source the page owner controls?"""
-        canonical = canonicalize(mld).replace(" ", "")
+        canonical = compact_canonical(mld)
         if len(canonical) < 3:
             return False
         for name in _CONTROLLED_SOURCES:
@@ -245,18 +246,21 @@ class TargetIdentifier:
                 return True
         return False
 
-    def _count_appearances(self, mld: str, sources: DataSources) -> int:
-        """Occurrences of ``mld`` across the page's data sources (step 5)."""
-        canonical = canonicalize(mld).replace(" ", "")
+    @staticmethod
+    def _haystacks(sources: DataSources) -> list[str]:
+        """The page's texts and URLs as compact canonical strings (step 5)."""
+        snapshot = sources.snapshot
+        texts = [
+            snapshot.text, snapshot.title, snapshot.copyright_notice,
+            sources.starting.raw, sources.landing.raw,
+        ]
+        texts += [url.raw for url in sources.href_links + sources.logged_links]
+        return [compact_canonical(text) for text in texts]
+
+    @staticmethod
+    def _count_appearances(mld: str, haystacks: list[str]) -> int:
+        """Occurrences of ``mld`` across the page's haystacks (step 5)."""
+        canonical = compact_canonical(mld)
         if not canonical:
             return 0
-        haystacks = [
-            canonicalize(sources.snapshot.text).replace(" ", ""),
-            canonicalize(sources.snapshot.title).replace(" ", ""),
-            canonicalize(sources.snapshot.copyright_notice).replace(" ", ""),
-            canonicalize(sources.starting.raw).replace(" ", ""),
-            canonicalize(sources.landing.raw).replace(" ", ""),
-        ]
-        for url in sources.href_links + sources.logged_links:
-            haystacks.append(canonicalize(url.raw).replace(" ", ""))
         return sum(haystack.count(canonical) for haystack in haystacks)

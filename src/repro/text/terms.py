@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from functools import lru_cache
 
 MIN_TERM_LENGTH = 3
 
@@ -35,7 +34,6 @@ _HOMOGLYPHS = {
 }
 
 
-@lru_cache(maxsize=65536)
 def _canonicalize_char(char: str) -> str:
     """Map a single character to its canonical a-z form, or '' if none."""
     lowered = char.lower()
@@ -50,6 +48,34 @@ def _canonicalize_char(char: str) -> str:
     return ""
 
 
+class _CanonicalTable(dict):
+    """The ``str.translate`` table of :func:`canonicalize`, filled on demand.
+
+    Maps a codepoint to its canonical a-z form, ``""`` for a combining
+    mark and ``" "`` for anything else.  Each entry is a pure function
+    of its codepoint, so the order in which texts fill the table cannot
+    change a result.  At most ``limit`` entries are stored; past that,
+    codepoints are mapped without being kept, so text spanning all of
+    Unicode cannot grow the table without bound.
+    """
+
+    def __init__(self, limit: int) -> None:
+        super().__init__()
+        self.limit = limit
+
+    def __missing__(self, code: int) -> str:
+        char = chr(code)
+        mapped = _canonicalize_char(char)
+        if not mapped:
+            mapped = "" if unicodedata.combining(char) else " "
+        if len(self) < self.limit:
+            self[code] = mapped
+        return mapped
+
+
+_CANONICAL = _CanonicalTable(limit=65536)
+
+
 def canonicalize(text: str) -> str:
     """Canonicalise ``text``: a-z letters kept, variants mapped, the rest
     replaced by a single space (acting as a split point).
@@ -57,16 +83,16 @@ def canonicalize(text: str) -> str:
     Combining marks (decomposed accents) are elided entirely rather than
     splitting the word they decorate: ``be´ta`` stays one term.
     """
-    out: list[str] = []
-    for char in text:
-        mapped = _canonicalize_char(char)
-        if mapped:
-            out.append(mapped)
-        elif unicodedata.combining(char):
-            continue
-        else:
-            out.append(" ")
-    return "".join(out)
+    return text.translate(_CANONICAL)
+
+
+def compact_canonical(text: str) -> str:
+    """``text`` as one run of canonical letters, split points dropped.
+
+    ``"Bank-of-America"`` becomes ``"bankofamerica"``: the form in which
+    an mld is matched against page terms (f3, target identification).
+    """
+    return canonicalize(text).replace(" ", "")
 
 
 def extract_terms(text: str, min_length: int = MIN_TERM_LENGTH) -> list[str]:
@@ -78,7 +104,9 @@ def extract_terms(text: str, min_length: int = MIN_TERM_LENGTH) -> list[str]:
     if not text:
         return []
     return [
-        term for term in canonicalize(text).split() if len(term) >= min_length
+        term
+        for term in text.translate(_CANONICAL).split()
+        if len(term) >= min_length
     ]
 
 

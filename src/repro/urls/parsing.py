@@ -106,7 +106,17 @@ class ParsedUrl:
         return self.raw
 
 
+#: Shape pre-filter for the ``ipaddress`` probe: a textual IPv4 address
+#: is digits and dots only, a textual IPv6 address holds a colon
+#: (bracketed or not).  Any other host would make ``ip_address`` raise,
+#: so skipping the probe returns the same ``False`` without paying for
+#: a raised-and-caught ``ValueError``.
+_IP_SHAPE_RE = re.compile(r"^[0-9.]+$|[:\[]")
+
+
 def _is_ip_address(host: str) -> bool:
+    if not _IP_SHAPE_RE.search(host):
+        return False
     candidate = host[1:-1] if host.startswith("[") and host.endswith("]") else host
     try:
         ipaddress.ip_address(candidate)
@@ -115,12 +125,40 @@ def _is_ip_address(host: str) -> bool:
     return True
 
 
-def parse_url(url: str, psl: PublicSuffixList | None = None) -> ParsedUrl:
+def _host_fields(host: str, psl: PublicSuffixList):
+    """What a normalised host contributes to a :class:`ParsedUrl`.
+
+    ``(is_ip, subdomains, mld, public_suffix, rdn)`` for a valid host;
+    for an invalid one, its first bad label (a ``str``), so a memoized
+    failure still raises with the URL at hand.
+    """
+    if _is_ip_address(host):
+        return (True, "", None, None, None)
+    for label in host.split("."):
+        if not _HOST_LABEL_RE.match(label):
+            return label
+    subdomains, mld, suffix = psl.split(host)
+    rdn = f"{mld}.{suffix}" if mld and suffix else (mld or None)
+    return (False, subdomains, mld or None, suffix or None, rdn)
+
+
+def parse_url(
+    url: str,
+    psl: PublicSuffixList | None = None,
+    hosts: dict | None = None,
+) -> ParsedUrl:
     """Parse ``url`` into a :class:`ParsedUrl`.
 
     A missing scheme defaults to ``http`` (mirroring browser behaviour for
     URLs pasted into the address bar).  Raises :class:`UrlParseError` for
     strings with no usable host.
+
+    ``hosts`` is an optional memo owned by the caller: a dict from
+    normalised host to the result of its IP probe, label check and PSL
+    split, read and filled here.  Those results depend only on the host
+    and ``psl``, so a memo changes no output as long as every call that
+    shares it passes the same ``psl``; link URLs concentrate on few
+    hosts, so a batch that shares one skips most of that work.
     """
     if psl is None:
         psl = default_psl()
@@ -137,34 +175,19 @@ def parse_url(url: str, psl: PublicSuffixList | None = None) -> ParsedUrl:
     host = (split.hostname or "").strip().strip(".").lower()
     if not host:
         raise UrlParseError(f"URL has no host: {url!r}")
+    fields = None if hosts is None else hosts.get(host)
+    if fields is None:
+        fields = _host_fields(host, psl)
+        if hosts is not None:
+            hosts[host] = fields
+    if isinstance(fields, str):
+        raise UrlParseError(f"invalid host label {fields!r} in {url!r}")
 
     try:
         port = split.port
     except ValueError:
         port = None
-
-    if _is_ip_address(host):
-        return ParsedUrl(
-            raw=url,
-            protocol=split.scheme.lower(),
-            fqdn=host,
-            port=port,
-            path=split.path or "",
-            query=split.query or "",
-            fragment=split.fragment or "",
-            is_ip=True,
-            subdomains="",
-            mld=None,
-            public_suffix=None,
-            rdn=None,
-        )
-
-    for label in host.split("."):
-        if not _HOST_LABEL_RE.match(label):
-            raise UrlParseError(f"invalid host label {label!r} in {url!r}")
-
-    subdomains, mld, suffix = psl.split(host)
-    rdn = f"{mld}.{suffix}" if mld and suffix else (mld or None)
+    is_ip, subdomains, mld, suffix, rdn = fields
     return ParsedUrl(
         raw=url,
         protocol=split.scheme.lower(),
@@ -173,9 +196,9 @@ def parse_url(url: str, psl: PublicSuffixList | None = None) -> ParsedUrl:
         path=split.path or "",
         query=split.query or "",
         fragment=split.fragment or "",
-        is_ip=False,
+        is_ip=is_ip,
         subdomains=subdomains,
-        mld=mld or None,
-        public_suffix=suffix or None,
+        mld=mld,
+        public_suffix=suffix,
         rdn=rdn,
     )

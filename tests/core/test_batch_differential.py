@@ -22,7 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.features.batch import _BatchPools
+from repro.core.datasources import (
+    ALL_DISTRIBUTION_NAMES,
+    BatchMemo,
+    DataSources,
+)
 from repro.core.features.extractor import (
     FeatureExtractor,
     _GROUP_SLICES,
@@ -306,23 +310,32 @@ class TestCompiledPickle:
 
 
 # ---------------------------------------------------------------------------
-# Pool primitives vs their serial counterparts
+# The batch memo's primitives vs their serial counterparts
 # ---------------------------------------------------------------------------
 
 
 class TestPoolPrimitives:
+    """Each :class:`BatchMemo` lookup equals the plain function, both on
+    the miss that fills the memo and on the hit that reads it back."""
+
     def _pools(self):
-        return _BatchPools(default_psl(), _alexa())
+        return BatchMemo(default_psl())
 
     @given(st.text(max_size=60))
     @settings(max_examples=120, deadline=None)
     def test_terms_match_extract_terms(self, text):
-        assert self._pools().terms(text) == tuple(extract_terms(text))
+        pools = self._pools()
+        expected = tuple(extract_terms(text))
+        assert pools.terms(text) == expected
+        assert pools.terms(text) == expected
 
     @given(_WORDS)
     @settings(max_examples=60, deadline=None)
     def test_mixed_language_terms_match(self, text):
-        assert self._pools().terms(text) == tuple(extract_terms(text))
+        pools = self._pools()
+        expected = tuple(extract_terms(text))
+        assert pools.terms(text) == expected
+        assert pools.terms(text) == expected
 
     @given(st.one_of(_URL, st.text(max_size=40)))
     @settings(max_examples=120, deadline=None)
@@ -334,6 +347,43 @@ class TestPoolPrimitives:
             assert pools.try_parse(url) is None
             with pytest.raises(UrlParseError):
                 pools.parse(url)
+            with pytest.raises(UrlParseError):
+                pools.parse(url)
         else:
             assert pools.try_parse(url) == expected
             assert pools.parse(url) == expected
+
+
+# ---------------------------------------------------------------------------
+# A batch's shared memo vs each page on its own memo
+# ---------------------------------------------------------------------------
+
+
+_PARTITIONS = (
+    "starting", "landing", "redirection_chain", "logged_links",
+    "href_links", "internal_logged", "external_logged", "internal_href",
+    "external_href",
+)
+
+
+class TestSharedMemo:
+    @given(st.lists(snapshots(), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_memo_sources_equal_own_memo_sources(self, pages):
+        """A page's partitions and distributions do not depend on which
+        other pages filled the memo first."""
+        memo = BatchMemo(default_psl())
+        shared = [DataSources(page, memo=memo) for page in pages]
+        # Fill the shared memo in reverse page order, then read forwards.
+        for sources in reversed(shared):
+            for name in ALL_DISTRIBUTION_NAMES:
+                sources.distribution(name)
+        for page, sources in zip(pages, shared):
+            alone = DataSources(page)
+            assert sources.memo is memo and alone.memo is not memo
+            for name in _PARTITIONS:
+                assert getattr(sources, name) == getattr(alone, name), name
+            for name in ALL_DISTRIBUTION_NAMES:
+                assert list(sources.distribution(name).items()) == list(
+                    alone.distribution(name).items()
+                ), name

@@ -5,8 +5,11 @@ import pytest
 from repro.core.datasources import (
     ALL_DISTRIBUTION_NAMES,
     F2_DISTRIBUTION_NAMES,
+    BatchMemo,
     DataSources,
 )
+from repro.urls.parsing import UrlParseError
+from repro.urls.public_suffix import PublicSuffixList
 from repro.web.ocr import SimulatedOcr
 from repro.web.page import PageSnapshot, Screenshot
 
@@ -112,6 +115,31 @@ class TestDistributions:
     def test_unknown_distribution_raises(self):
         with pytest.raises(KeyError):
             DataSources(make_snapshot()).distribution("bogus")
+
+
+class TestBatchMemo:
+    def test_memo_sets_the_suffix_list(self):
+        psl = PublicSuffixList(["com", "org", "net"])
+        sources = DataSources(make_snapshot(), memo=BatchMemo(psl))
+        assert sources.psl is psl
+        assert DataSources(make_snapshot(), psl=psl,
+                           memo=sources.memo).memo is sources.memo
+
+    def test_memo_for_another_suffix_list_rejected(self):
+        memo = BatchMemo(PublicSuffixList(["com"]))
+        with pytest.raises(ValueError, match="suffix list"):
+            DataSources(make_snapshot(), psl=PublicSuffixList(["com"]),
+                        memo=memo)
+
+    def test_unparsable_starting_url_raises_on_every_read(self):
+        memo = BatchMemo()
+        for _ in range(2):
+            sources = DataSources(
+                make_snapshot(starting_url="http://exa mple.com/"),
+                memo=memo,
+            )
+            with pytest.raises(UrlParseError):
+                sources.starting
 
 
 class TestIpUrls:

@@ -96,6 +96,32 @@ class TestPipeline:
             for v in serial
         ]
 
+    def test_batch_identification_equals_identify_alone(
+        self, pipeline, tiny_world
+    ):
+        """Sharing the batch's memo leaves identification unchanged."""
+        phish = tiny_world.dataset("phishTest")[:10]
+        legit = tiny_world.dataset("english")[:10]
+        snapshots = [
+            page.snapshot for pair in zip(phish, legit) for page in pair
+        ]
+        verdicts = pipeline.analyze_batch(snapshots)
+        flagged = [
+            (snapshot, verdict.identification)
+            for snapshot, verdict in zip(snapshots, verdicts)
+            if verdict.identification is not None
+        ]
+        assert len(flagged) >= 5
+        for snapshot, batch in flagged:
+            # A fresh identifier per page: nothing carries over from
+            # the batch or from the other pages.
+            alone = TargetIdentifier(
+                tiny_world.search, ocr=SimulatedOcr(error_rate=0.02)
+            ).identify(snapshot)
+            assert (batch.verdict, batch.step, batch.targets,
+                    batch.keyterms) == (alone.verdict, alone.step,
+                                        alone.targets, alone.keyterms)
+
     def test_analyze_batch_metrics_match_per_page(
         self, pipeline, tiny_world
     ):

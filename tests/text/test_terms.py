@@ -1,11 +1,49 @@
 """Tests for term extraction (Section III-B), incl. property-based checks."""
 
 import string
+import unicodedata
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.text.terms import MIN_TERM_LENGTH, canonicalize, extract_terms, term_counts
+from repro.text.terms import (
+    MIN_TERM_LENGTH,
+    _canonicalize_char,
+    _CanonicalTable,
+    canonicalize,
+    compact_canonical,
+    extract_terms,
+    term_counts,
+)
+from tests.core.test_batch_differential import _WORDS
+
+
+def _per_character(text):
+    """Reference canonicalisation: one character at a time."""
+    out = []
+    for char in text:
+        mapped = _canonicalize_char(char)
+        if mapped:
+            out.append(mapped)
+        elif unicodedata.combining(char):
+            continue
+        else:
+            out.append(" ")
+    return "".join(out)
+
+
+#: Combining marks, fullwidth letters and ligatures on top of the
+#: differential harness's mixed-language vocabulary.
+_MARKED = st.lists(
+    st.one_of(
+        _WORDS,
+        st.sampled_from([
+            "e\u0301", "n\u0303o", "a\u030a", "\u0301", "\u20dd",
+            "ｂａｎｋ", "ＬＯＧＩＮ", "ﬂ", "ﬀ", "ﬃ", "Ǆ", "Ĳ", "ŉ",
+        ]),
+    ),
+    max_size=6,
+).map("".join)
 
 
 class TestCanonicalize:
@@ -34,6 +72,22 @@ class TestCanonicalize:
 
     def test_eszett_expands(self):
         assert canonicalize("straße") == "strasse"
+
+
+class TestTranslateTable:
+    @given(st.one_of(st.text(max_size=60), _MARKED))
+    def test_canonicalize_matches_per_character_loop(self, text):
+        assert canonicalize(text) == _per_character(text)
+        assert compact_canonical(text) == _per_character(text).replace(
+            " ", ""
+        )
+
+    def test_full_table_maps_without_storing(self):
+        table = _CanonicalTable(limit=3)
+        text = "Bäñk-ｐａｙ ﬂ"
+        assert text.translate(table) == _per_character(text)
+        assert len(table) == 3
+        assert text.translate(table) == _per_character(text)
 
 
 class TestExtractTerms:

@@ -1,8 +1,29 @@
 """Tests for URL decomposition (Section II-B model)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.urls.parsing import ParsedUrl, UrlParseError, parse_url
+from tests.core.test_batch_differential import _HOST, _URL
+
+#: URLs whose hosts recur, with valid, invalid and IP hosts among them.
+_MEMO_URL = st.one_of(
+    _URL,
+    st.builds(
+        "{}://{}/{}".format,
+        st.sampled_from(["http", "https", "ftp"]),
+        st.one_of(
+            _HOST,
+            st.sampled_from([
+                "exa mple.com", "-bad.com", "a..b", "10.0.0.1",
+                "[2001:db8::1]", "256.1.1.1", "bank.co.uk", "x_y.net",
+            ]),
+        ),
+        st.text(max_size=6),
+    ),
+    st.text(max_size=40),
+)
 
 
 class TestComponents:
@@ -97,6 +118,30 @@ class TestErrors:
     def test_bad_label(self):
         with pytest.raises(UrlParseError):
             parse_url("http://exa mple.com/")
+
+
+class TestHostMemo:
+    @given(st.lists(_MEMO_URL, min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_shared_memo_parses_like_no_memo(self, urls):
+        hosts: dict = {}
+        for _round in range(2):  # the second round is all memo hits
+            for url in urls:
+                try:
+                    expected = parse_url(url)
+                except UrlParseError as error:
+                    with pytest.raises(UrlParseError) as raised:
+                        parse_url(url, hosts=hosts)
+                    assert str(raised.value) == str(error)
+                else:
+                    assert parse_url(url, hosts=hosts) == expected
+
+    def test_invalid_host_raises_on_every_call(self):
+        hosts: dict = {}
+        for url in ("http://exa mple.com/a", "https://exa mple.com/b"):
+            with pytest.raises(UrlParseError, match="invalid host label"):
+                parse_url(url, hosts=hosts)
+        assert hosts == {"exa mple.com": "exa mple"}
 
 
 class TestHelpers:
