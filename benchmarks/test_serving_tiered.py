@@ -2,8 +2,11 @@
 
 Offers the identical 3x-overload Zipf workload to the untriaged
 full-pipeline engine and to the tiered engine (URL-only tier-0
-pre-filter + sharded TTL caches + negative cache), both in simulated
-time on a :class:`~repro.resilience.ManualClock`.
+pre-filter + content-hash verdict memo + negative cache), both in
+simulated time on a :class:`~repro.resilience.ManualClock`.  Service
+times are the engine's modelled costs (an analysis, 10% of it per memo
+hit, 1% per tier-0 decision), so the latency and throughput figures
+follow from those ratios rather than from measured stage times.
 
 The assertions are the triage ladder's contract:
 

@@ -6,24 +6,20 @@ and (c) resilience to phishing webpages that return different contents
 to different clients", and ships a proof-of-concept browser add-on.
 This subpackage simulates that add-on around the library:
 
-* :class:`~repro.addon.cache.VerdictCache` — TTL-bounded verdict cache
-  (phishing sites live hours, so verdicts must expire);
 * :class:`~repro.addon.policy.WarningPolicy` — allow/warn/block decisions
   with a user-managed trust list and override tracking;
 * :class:`~repro.addon.addon.PhishingPreventionAddon` — the
-  per-navigation hook gluing browser, pipeline, cache and policy, with
-  usage statistics.
+  per-navigation hook gluing browser, pipeline, policy and a URL-keyed
+  :class:`~repro.parallel.cache.TtlCache` of verdicts (phishing sites
+  live hours, so verdicts expire), with usage statistics.
 """
 
 from repro.addon.addon import NavigationResult, PhishingPreventionAddon
-from repro.addon.cache import CachedVerdict, VerdictCache
 from repro.addon.policy import Action, WarningPolicy
 
 __all__ = [
     "Action",
-    "CachedVerdict",
     "NavigationResult",
     "PhishingPreventionAddon",
-    "VerdictCache",
     "WarningPolicy",
 ]

@@ -5,7 +5,9 @@ verdict cache and a warning policy — the whole flow the paper's
 companion add-on [3] runs on every page load, entirely client-side:
 
 1. trusted/overridden URLs pass immediately (no analysis, no logging);
-2. fresh verdicts come from the cache when possible;
+2. fresh verdicts come from the cache when possible — by default a
+   :class:`~repro.parallel.cache.TtlCache` keyed by URL, bounded at
+   1000 entries and one hour of age;
 3. otherwise the page is scraped and analysed, and the verdict cached;
 4. the policy converts the verdict into allow / warn / block.
 
@@ -19,9 +21,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.addon.cache import VerdictCache
 from repro.addon.policy import Action, WarningPolicy
 from repro.core.pipeline import KnowYourPhish, PageVerdict
+from repro.parallel.cache import TtlCache
 from repro.web.browser import Browser, PageNotFound, RedirectLoopError
 
 
@@ -73,7 +75,10 @@ class PhishingPreventionAddon:
     policy:
         Warning policy; defaults to block-phish / warn-suspicious.
     cache:
-        Verdict cache; defaults to 1000 entries with a 1-hour TTL.
+        Verdict cache keyed by URL and read at the add-on clock's time;
+        defaults to a :class:`~repro.parallel.cache.TtlCache` of 1000
+        entries with a one-hour TTL (phishing campaigns live hours, so
+        a verdict must not outlive the page it describes).
     clock:
         Zero-argument callable returning seconds; injected for
         deterministic tests (defaults to ``time.monotonic``).
@@ -84,13 +89,16 @@ class PhishingPreventionAddon:
         pipeline: KnowYourPhish,
         browser: Browser,
         policy: WarningPolicy | None = None,
-        cache: VerdictCache | None = None,
+        cache: TtlCache | None = None,
         clock=None,
     ):
         self.pipeline = pipeline
         self.browser = browser
         self.policy = policy or WarningPolicy()
-        self.cache = cache or VerdictCache()
+        self.cache = (
+            cache if cache is not None
+            else TtlCache(capacity=1000, ttl=3600.0)
+        )
         self.clock = clock or time.monotonic
         self.stats = AddonStats()
 

@@ -127,8 +127,8 @@ class DataSources:
         (``D_image`` is then empty) — OCR is slow and only consulted on
         demand (Section V-A).
     distribution_cache:
-        Optional cross-snapshot memoization store (an
-        :class:`~repro.parallel.cache.LruCache`-like object with
+        Optional cross-snapshot memoization store (a
+        :class:`~repro.parallel.cache.TtlCache` or any object with
         ``get``/``put``) shared by many ``DataSources`` instances.  The
         per-instance ``cached_property`` laziness already deduplicates
         work within one instance; this cache deduplicates across

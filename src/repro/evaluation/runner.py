@@ -55,6 +55,25 @@ from repro.web.page import PageSnapshot
 FEATURE_SETS = ("f1", "f2", "f3", "f4", "f5", "f1,5", "f2,3,4", "fall")
 
 
+def _timed_round(fn):
+    """``(seconds, result)`` of one call to ``fn``, with the collector paused.
+
+    The heap is collected first, so a round never pays for garbage an
+    earlier round (or the other side of a comparison) left: with the
+    Lab's world in memory a full collection takes about a tenth of a
+    second, and it would otherwise land in whichever round happened to
+    trigger it.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        started = time.perf_counter()
+        result = fn()
+        return time.perf_counter() - started, result
+    finally:
+        gc.enable()
+
+
 class _FoldDetectorFactory:
     """Picklable factory building one fresh detector per CV fold.
 
@@ -827,7 +846,7 @@ class Lab:
         pages_per_class: int = 40,
         workers: int = 4,
         backend: str = "thread",
-        repeats: int = 3,
+        repeats: int = 7,
     ) -> list[dict]:
         """Batch-analysis throughput: serial vs parallel, cold vs warm cache.
 
@@ -841,10 +860,11 @@ class Lab:
 
         Cold runs use a fresh :class:`~repro.parallel.AnalysisCache`;
         warm runs reuse one filled by a priming pass over the same
-        workload.  Each configuration runs ``repeats`` times (cold
-        modes rebuild their cache every round) and reports the fastest
-        round — min-of-N keeps the mode-vs-mode comparisons stable on
-        a noisy machine.
+        workload.  The configurations run in ``repeats`` interleaved
+        rounds (cold modes rebuild their cache every round); each row
+        keeps every round's seconds in ``round_seconds``, in round
+        order, so two modes compare round by round, and reports its
+        rate and speedup from the fastest round.
         """
         from repro.core.pipeline import KnowYourPhish
         from repro.web.browser import Browser as PlainBrowser
@@ -884,14 +904,14 @@ class Lab:
             mode: WorkerPool(workers=run_workers, backend=backend)
             for mode, run_workers, _cache in runs if run_workers
         }
-        best: dict[str, float] = {mode: float("inf") for mode, _w, _c in runs}
+        rounds: dict[str, list[float]] = {mode: [] for mode, _w, _c in runs}
         keys: dict[str, list[tuple]] = {}
         try:
             # Interleave the rounds: the machine's speed drifts over a
             # benchmark's lifetime, and timing each mode's rounds
             # back-to-back would let that drift masquerade as a
             # mode-vs-mode difference.  One round of every mode per
-            # pass, fastest round kept.
+            # pass, so each round pairs the modes under like load.
             for _ in range(repeats):
                 for mode, _run_workers, cache in runs:
                     pipeline = _pipeline(
@@ -900,11 +920,10 @@ class Lab:
                     )
                     browser = PlainBrowser(self.world.web)
                     pool = pools.get(mode)
-                    started = time.perf_counter()
-                    report = pipeline.analyze_many(urls, browser, pool=pool)
-                    best[mode] = min(
-                        best[mode], time.perf_counter() - started
+                    seconds, report = _timed_round(
+                        lambda: pipeline.analyze_many(urls, browser, pool=pool)
                     )
+                    rounds[mode].append(seconds)
                     keys[mode] = _verdict_key(report)
         finally:
             for pool in pools.values():
@@ -915,7 +934,8 @@ class Lab:
         for mode, run_workers, cache in runs:
             if reference is None:
                 reference = keys[mode]
-            rate = len(urls) / best[mode] if best[mode] else float("inf")
+            best = min(rounds[mode])
+            rate = len(urls) / best if best else float("inf")
             if baseline_rate is None:
                 baseline_rate = rate
             rows.append({
@@ -923,7 +943,8 @@ class Lab:
                 "workers": run_workers or 1,
                 "warm_cache": cache is not None,
                 "pages": len(urls),
-                "seconds": best[mode],
+                "seconds": best,
+                "round_seconds": rounds[mode],
                 "pages_per_sec": rate,
                 "speedup": rate / baseline_rate if baseline_rate else 0.0,
                 "verdicts_match": keys[mode] == reference,
@@ -933,7 +954,7 @@ class Lab:
     def extraction_benchmark(
         self,
         pages_per_class: int = 40,
-        repeats: int = 3,
+        repeats: int = 7,
     ) -> list[dict]:
         """Feature-extraction stage in isolation: per-page vs columnar.
 
@@ -943,11 +964,12 @@ class Lab:
         the stage level.  Three configurations over the robustness
         workload's snapshots: the per-page ``extract`` loop, a cold
         ``extract_batch`` pass, and a warm (cache-hit) ``extract_batch``
-        pass.  Each is timed ``repeats`` times and the fastest run kept
-        (min-of-N is the stable estimator on a noisy machine).  Every
-        row reports pages/sec and the speedup over the per-page loop;
-        ``bit_identical`` re-checks the differential guarantee — batch
-        cells equal serial cells to the last bit — on live corpus data.
+        pass.  They run in ``repeats`` interleaved rounds; each row keeps
+        every round's seconds in ``round_seconds``, in round order, and
+        reports pages/sec and the speedup over the per-page loop from
+        the fastest round.  ``bit_identical`` re-checks the
+        differential guarantee — batch cells equal serial cells to the
+        last bit — on live corpus data.
         """
         snapshots = [
             page.snapshot
@@ -971,28 +993,28 @@ class Lab:
             ).extract_batch(snapshots)),
             ("batch/warm", lambda: warm_extractor.extract_batch(snapshots)),
         )
-        best = {mode: float("inf") for mode, _fn in configs}
+        rounds: dict[str, list[float]] = {mode: [] for mode, _fn in configs}
         matrices = {}
         # Interleaved rounds, for the same reason as in
         # :meth:`throughput_benchmark`: machine-speed drift must hit
         # every configuration, not whichever happened to run last.
         for _ in range(repeats):
             for mode, fn in configs:
-                started = time.perf_counter()
-                matrices[mode] = fn()
-                best[mode] = min(best[mode], time.perf_counter() - started)
+                seconds, matrices[mode] = _timed_round(fn)
+                rounds[mode].append(seconds)
 
         n_pages = len(snapshots)
-        base_rate = n_pages / best["per_page/cold"]
+        base_rate = n_pages / min(rounds["per_page/cold"])
         reference = matrices["per_page/cold"]
         rows = []
         for mode, _fn in configs:
-            seconds, matrix = best[mode], matrices[mode]
+            seconds, matrix = min(rounds[mode]), matrices[mode]
             rate = n_pages / seconds if seconds else float("inf")
             rows.append({
                 "mode": mode,
                 "pages": n_pages,
                 "seconds": seconds,
+                "round_seconds": rounds[mode],
                 "pages_per_sec": rate,
                 "speedup": rate / base_rate,
                 "bit_identical": bool(np.array_equal(matrix, reference)),
@@ -1868,17 +1890,8 @@ class Lab:
         seconds: dict[str, list[float]] = {"baseline": [], "monitored": []}
 
         def _timed(side, run_monitor):
-            # Collect before and pause the collector during the timed
-            # region, so one side does not pay for garbage the other
-            # side produced.
-            gc.collect()
-            gc.disable()
-            try:
-                started = time.perf_counter()
-                result = _run(run_monitor)
-                seconds[side].append(time.perf_counter() - started)
-            finally:
-                gc.enable()
+            elapsed, result = _timed_round(lambda: _run(run_monitor))
+            seconds[side].append(elapsed)
             return result
 
         for round_index in range(max(1, repeats)):
@@ -1918,10 +1931,8 @@ class Lab:
 
         def _replay_once() -> float:
             replay_monitor = _monitor()
-            gc.collect()
-            gc.disable()
-            try:
-                started = time.perf_counter()
+
+            def replay() -> None:
                 for call in tap_log:
                     kind = call[0]
                     if kind == "response":
@@ -1938,9 +1949,8 @@ class Lab:
                         )
                     else:
                         replay_monitor.finish(now=call[1])
-                return time.perf_counter() - started
-            finally:
-                gc.enable()
+
+            return _timed_round(replay)[0]
 
         _replay_once()  # warm the replay path before timing it
         replays = [_replay_once() for _ in range(7)]

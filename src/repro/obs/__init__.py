@@ -29,8 +29,8 @@ tallies.  This package provides one common model for all of it:
 Span names follow the documented taxonomy (DESIGN.md §8, §11, §13):
 ``batch.* / browse.* / analyze / extract.f{1..5} / classify /
 target.* / cache.* / train.* / serve.* / quality.*`` (including the
-triage ladder's ``serve.triage``, the per-shard ``cache.shard``
-snapshot spans and the quality monitor's ``quality.evaluate`` /
+triage ladder's ``serve.triage``, the serving memo's end-of-run
+``cache.snapshot`` span and the quality monitor's ``quality.evaluate`` /
 ``quality.drift`` / ``quality.dump``), statically checked by the
 PHL404 lint rule — dotted names
 must additionally root in :data:`~repro.obs.trace.SPAN_NAME_ROOTS`.  Tracing and metrics never perturb verdicts: the golden feature

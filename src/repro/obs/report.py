@@ -7,7 +7,7 @@ that produced them — and reconstructs per-stage timing
 (``extract.f1``..``extract.f5``, ``classify``, ``target.identify``),
 verdict tallies, cache hit rates, retry/breaker activity, the tiered
 serving picture (per-tier counts and latency percentiles, triage
-actions, cache-shard balance) and the quality block (drift statuses,
+actions, end-of-run cache counters) and the quality block (drift statuses,
 SLO burn rates, alerts) as aligned ASCII tables.  This is what the
 ``repro obs report`` CLI subcommand renders; :func:`render_quality`
 is the shared formatter ``repro obs quality`` reuses for a quality
@@ -234,24 +234,23 @@ class RunReport:
             )
         )
 
-    def shard_rows(self) -> list[dict[str, Any]]:
-        """Cache-shard balance from the ``cache.shard`` snapshot spans."""
+    def cache_snapshots(self) -> list[dict[str, Any]]:
+        """End-of-run cache counters from the ``cache.snapshot`` spans."""
         rows = []
         for span in self.spans:
-            if span["name"] != "cache.shard":
+            if span["name"] != "cache.snapshot":
                 continue
             attrs = span.get("attrs", {})
             rows.append(
                 {
                     "cache": attrs.get("cache", ""),
-                    "index": attrs.get("index", 0),
                     "size": attrs.get("size", 0),
                     "hits": attrs.get("hits", 0),
                     "misses": attrs.get("misses", 0),
                     "evictions": attrs.get("evictions", 0),
                 }
             )
-        rows.sort(key=lambda row: (row["cache"], row["index"]))
+        rows.sort(key=lambda row: row["cache"])
         return rows
 
     # ------------------------------------------------------------------
@@ -325,24 +324,22 @@ class RunReport:
                 "Triage\n" + _table(["action", "count"], rows)
             )
 
-        shards = self.shard_rows()
-        if shards:
+        snapshots = self.cache_snapshots()
+        if snapshots:
             rows = [
                 [
                     s["cache"],
-                    int(s["index"]),
                     int(s["size"]),
                     int(s["hits"]),
                     int(s["misses"]),
                     int(s["evictions"]),
                 ]
-                for s in shards
+                for s in snapshots
             ]
             sections.append(
-                "Cache shards\n"
+                "Cache snapshots\n"
                 + _table(
-                    ["cache", "shard", "size", "hits", "misses",
-                     "evictions"],
+                    ["cache", "size", "hits", "misses", "evictions"],
                     rows,
                 )
             )

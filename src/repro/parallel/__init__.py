@@ -18,7 +18,7 @@ the exact same code path as a miss.
 from repro.parallel.cache import (
     AnalysisCache,
     CacheCountsProbe,
-    LruCache,
+    TtlCache,
     snapshot_fingerprint,
 )
 from repro.parallel.executor import (
@@ -35,8 +35,8 @@ __all__ = [
     "BACKENDS",
     "CacheCountsProbe",
     "CounterProbe",
-    "LruCache",
     "MAX_WORKERS",
+    "TtlCache",
     "WorkerPool",
     "chunk_slices",
     "default_workers",

@@ -1,17 +1,23 @@
-"""Content-keyed memoization for the feature-extraction hot path.
+"""The one cache class, and content-keyed memoization on top of it.
 
-The paper's deployment argument (Table VIII) needs feature computation
-fast enough for in-browser use; at crawl scale the same page content is
-re-analysed constantly (re-crawls, retries, evaluation re-runs).  This
-module amortises that work:
+Every long-lived keyed cache in the system is a :class:`TtlCache`: a
+thread-safe LRU + TTL map with hit/miss counters whose time is always
+injected (a :class:`~repro.resilience.clock.Clock` or a ``now``
+argument), never read from the wall clock.  Its users differ only in
+configuration:
+
+* the three :class:`AnalysisCache` stores — bounded, no TTL (features
+  are a pure function of content and never go stale);
+* the serving engine's content-hash verdict memo (unbounded, no TTL)
+  and its negative cache of recent upstream failures (TTL only);
+* the add-on's URL-keyed verdict cache (1000 entries, one hour: a
+  verdict must not outlive the phishing campaign it describes).
+
+The module also provides:
 
 * :func:`snapshot_fingerprint` — a stable content hash of a
   :class:`~repro.web.page.PageSnapshot` (its serialised form), so equal
   content maps to equal keys across processes and runs;
-* :class:`LruCache` — a thread-safe, size-bounded LRU with hit/miss
-  counters, the same eviction idiom as the add-on's
-  :class:`~repro.addon.cache.VerdictCache` (minus the TTL: features are
-  a pure function of content and never go stale);
 * :class:`AnalysisCache` — one bundle of three keyed stores for the
   quantities worth memoizing per snapshot: the Table I term
   distributions, the 66-entry f2 pair matrix, and the full
@@ -27,10 +33,16 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
+from collections.abc import Hashable
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.web.page import PageSnapshot
+
+if TYPE_CHECKING:
+    # Type-only: repro.resilience's package init imports this module.
+    from repro.resilience.clock import Clock
 
 
 def snapshot_fingerprint(snapshot: PageSnapshot) -> str:
@@ -47,64 +59,142 @@ def snapshot_fingerprint(snapshot: PageSnapshot) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class LruCache:
-    """A thread-safe, size-bounded LRU mapping with hit/miss counters.
+class TtlCache:
+    """A thread-safe LRU + TTL map with counters and injected time.
+
+    Entries can be *negative*: a cached recent failure that answers
+    repeats instantly for its own, usually shorter, ``negative_ttl``;
+    negative hits are tallied apart from positive ones.
 
     Parameters
     ----------
-    max_entries:
-        Maximum stored keys; least-recently-used entries are evicted.
+    capacity:
+        Maximum entries (LRU eviction beyond it); ``None`` = unbounded.
+    ttl:
+        Maximum entry age in seconds; reads past it expire the entry
+        and count as misses.  ``None`` = entries never expire.  An
+        entry aged exactly ``ttl`` is still valid (strict ``>`` test).
+    negative_ttl:
+        Age bound for *negative* entries; defaults to ``ttl``.
+    clock:
+        Time source consulted when a call omits ``now``.  TTL
+        semantics require one of the two; without a TTL, time is
+        never read.
     """
 
-    def __init__(self, max_entries: int = 4096) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._entries: OrderedDict = OrderedDict()
+    def __init__(
+        self,
+        capacity: int | None = None,
+        ttl: float | None = None,
+        negative_ttl: float | None = None,
+        clock: Clock | None = None,
+    ) -> None:
+        if capacity is not None and capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if ttl is not None and ttl <= 0:
+            raise ValueError(f"ttl must be > 0, got {ttl}")
+        if negative_ttl is not None and negative_ttl <= 0:
+            raise ValueError(f"negative_ttl must be > 0, got {negative_ttl}")
+        self.capacity = capacity
+        self.ttl = ttl
+        self.negative_ttl = negative_ttl if negative_ttl is not None else ttl
+        self.clock = clock
+        # key -> (value, cached_at, negative)
+        self._entries: OrderedDict[Hashable, tuple[Any, float, bool]] = (
+            OrderedDict()
+        )
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        self.negative_hits = 0
+        self.expirations = 0
         self.evictions = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def _now(self, now: float | None) -> float:
+        if self.ttl is None and self.negative_ttl is None:
+            return 0.0          # nothing expires, so an entry's age is moot
+        if now is not None:
+            return now
+        if self.clock is not None:
+            return self.clock.now()
+        raise ValueError("a TTL cache needs a clock or an explicit `now`")
 
-    def get(self, key: object) -> object | None:
-        """Return the cached value or ``None``, updating counters."""
+    def get(self, key: Hashable, now: float | None = None) -> Any:
+        """The live value for ``key``, or ``None``.
+
+        An expired entry is removed, counted as an expiration and read
+        as a miss; a live read refreshes LRU recency.
+        """
+        instant = self._now(now)
         with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            value, cached_at, negative = entry
+            ttl = self.negative_ttl if negative else self.ttl
+            if ttl is not None and instant - cached_at > ttl:
+                del self._entries[key]
+                self.expirations += 1
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
+            if negative:
+                self.negative_hits += 1
             return value
 
-    def put(self, key: object, value: object) -> None:
-        """Store a value, evicting the oldest entry when full."""
+    def put(
+        self,
+        key: Hashable,
+        value: Any,
+        now: float | None = None,
+        negative: bool = False,
+    ) -> None:
+        """Insert or refresh an entry, evicting LRU entries beyond capacity."""
+        entry = (value, self._now(now), negative)
         with self._lock:
-            if key in self._entries:
-                del self._entries[key]
-            self._entries[key] = value
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            self._entries.pop(key, None)
+            self._entries[key] = entry
+            if self.capacity is not None:
+                while len(self._entries) > self.capacity:
+                    self._entries.popitem(last=False)
+                    self.evictions += 1
+
+    def invalidate(self, key: Hashable) -> bool:
+        """Drop one key; True when it was present."""
+        with self._lock:
+            return self._entries.pop(key, None) is not None
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
         with self._lock:
             self._entries.clear()
 
+    def __len__(self) -> int:
+        return len(self._entries)
+
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups served from cache."""
+        """Fraction of lookups answered from cache."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
+    def stats(self) -> dict[str, int]:
+        """JSON-safe counter snapshot for reports and spans."""
+        with self._lock:
+            return {
+                "size": len(self._entries),
+                "hits": self.hits,
+                "misses": self.misses,
+                "negative_hits": self.negative_hits,
+                "expirations": self.expirations,
+                "evictions": self.evictions,
+            }
+
     # ------------------------------------------------------------------
     def counts(self) -> dict[str, int]:
-        """Current counter values (a snapshot, safe to diff later)."""
+        """The mergeable counters (a snapshot, safe to diff later)."""
         with self._lock:
             return {
                 "hits": self.hits,
@@ -112,8 +202,8 @@ class LruCache:
                 "evictions": self.evictions,
             }
 
-    def merge_counts(self, other: "LruCache | dict[str, int]") -> None:
-        """Fold another store's counters (or a delta dict) into this one.
+    def merge_counts(self, other: TtlCache | dict[str, int]) -> None:
+        """Fold another cache's counters (or a delta dict) into this one.
 
         This is how process-backend workers report back: their pickled
         cache copy accumulates hits/misses/evictions that would
@@ -121,7 +211,7 @@ class LruCache:
         the per-item counter *deltas* returned by
         :meth:`repro.parallel.WorkerPool.map_observed`.
         """
-        delta = other.counts() if isinstance(other, LruCache) else other
+        delta = other.counts() if isinstance(other, TtlCache) else other
         with self._lock:
             self.hits += int(delta.get("hits", 0))
             self.misses += int(delta.get("misses", 0))
@@ -129,12 +219,12 @@ class LruCache:
 
     # Locks do not pickle; drop the lock so process-pool workers can
     # receive a copy of a warm cache (their fills stay worker-local).
-    def __getstate__(self) -> dict:
+    def __getstate__(self) -> dict[str, Any]:
         state = self.__dict__.copy()
         del state["_lock"]
         return state
 
-    def __setstate__(self, state: dict) -> None:
+    def __setstate__(self, state: dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
 
@@ -142,8 +232,9 @@ class LruCache:
 class AnalysisCache:
     """Memoization bundle for per-snapshot analysis artefacts.
 
-    Three independent LRU stores, all keyed by snapshot fingerprint
-    (plus the term metric where the value depends on it):
+    Three independent bounded :class:`TtlCache` stores without a TTL,
+    all keyed by snapshot fingerprint (plus the term metric where the
+    value depends on it):
 
     * ``features`` — full 212-dimension feature vectors;
     * ``pair_matrices`` — the f2 pairwise-distance block (66 values);
@@ -164,9 +255,9 @@ class AnalysisCache:
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
-        self.features = LruCache(max_entries)
-        self.pair_matrices = LruCache(max_entries)
-        self.distributions = LruCache(16 * max_entries)
+        self.features = TtlCache(capacity=max_entries)
+        self.pair_matrices = TtlCache(capacity=max_entries)
+        self.distributions = TtlCache(capacity=16 * max_entries)
 
     # ------------------------------------------------------------------
     def get_features(self, key: str) -> np.ndarray | None:
@@ -190,7 +281,7 @@ class AnalysisCache:
         )
 
     # ------------------------------------------------------------------
-    def _stores(self) -> tuple[tuple[str, LruCache], ...]:
+    def _stores(self) -> tuple[tuple[str, TtlCache], ...]:
         return (
             ("features", self.features),
             ("pair_matrices", self.pair_matrices),

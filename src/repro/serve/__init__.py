@@ -15,13 +15,7 @@ from repro.serve.admission import (
     AdmissionDecision,
     TokenBucket,
 )
-from repro.serve.cache import (
-    CacheEntry,
-    ShardedTtlCache,
-    TtlCacheShard,
-    shard_index,
-)
-from repro.serve.coalesce import InflightTable, VerdictMemo
+from repro.serve.coalesce import InflightTable
 from repro.serve.engine import ServingEngine
 from repro.serve.loadgen import (
     ChaosEvent,
@@ -63,7 +57,6 @@ __all__ = [
     "AdmissionDecision",
     "TokenBucket",
     "InflightTable",
-    "VerdictMemo",
     "ServingEngine",
     "ChaosEvent",
     "ZipfSampler",
@@ -88,10 +81,6 @@ __all__ = [
     "TIER_TRIAGE",
     "ServeRequest",
     "ServeResponse",
-    "CacheEntry",
-    "ShardedTtlCache",
-    "TtlCacheShard",
-    "shard_index",
     "TRIAGE_ESCALATE",
     "TRIAGE_LEGITIMATE",
     "TRIAGE_PHISH",

@@ -11,21 +11,19 @@ Two layers implement it:
   *followers* and receive the leader's outcome at the leader's finish
   time, consuming no queue slot, no tokens and no worker.  A hot-key
   storm therefore costs one analysis, not one per request.
-* :class:`VerdictMemo` — content-hash memoization.  Once a page body
+* content-hash memoization — the engine's ``memo``, a plain unbounded
+  :class:`~repro.parallel.cache.TtlCache` without a TTL keyed by
+  :func:`~repro.parallel.cache.snapshot_fingerprint`.  Once a page body
   has been analyzed, any later request whose loaded snapshot hashes to
-  the same ``snapshot_fingerprint`` reuses the verdict and is charged
-  only the (cheap) memo-hit cost.  Keyed on content, not URL, so
-  mirrored campaign pages coalesce too.  Backed by a
-  :class:`~repro.serve.cache.ShardedTtlCache`, so long-running engines
-  can bound it (LRU) and age it out (TTL on the injected clock); the
-  defaults — unbounded, no expiry — reproduce the original
-  run-scoped memo bit for bit.
+  the same fingerprint reuses the verdict and is charged only the
+  (cheap) memo-hit cost.  Keyed on content, not URL, so mirrored
+  campaign pages coalesce too; the fingerprint covers the whole
+  snapshot, so a degraded load (truncated body, lost screenshot) never
+  shares a verdict with the clean load.
 """
 
 from __future__ import annotations
 
-from repro.resilience.clock import Clock
-from repro.serve.cache import ShardedTtlCache
 from repro.serve.request import ServeRequest
 
 
@@ -58,59 +56,3 @@ class InflightTable:
 
     def __len__(self) -> int:
         return len(self._leaders)
-
-
-class VerdictMemo:
-    """Content-hash verdict cache: same page body, same verdict.
-
-    The fingerprint covers the full snapshot (HTML, rendered text,
-    screenshot, logged URLs), so a degraded load — truncated body,
-    lost screenshot — hashes differently from the clean load and never
-    pollutes the clean verdict, and vice versa.
-
-    A thin facade over :class:`~repro.serve.cache.ShardedTtlCache`:
-    ``capacity`` bounds the memo (LRU per shard), ``ttl`` ages
-    verdicts out on the injected ``clock``, and both default to off so
-    a plain ``VerdictMemo()`` behaves exactly like the historical
-    unbounded dict.
-    """
-
-    def __init__(
-        self,
-        capacity: int | None = None,
-        ttl: float | None = None,
-        clock: Clock | None = None,
-        shards: int = 4,
-    ) -> None:
-        self._cache = ShardedTtlCache(
-            capacity=capacity, ttl=ttl, clock=clock, shards=shards
-        )
-
-    @property
-    def hits(self) -> int:
-        """Lookups answered from the memo."""
-        return self._cache.hits
-
-    @property
-    def misses(self) -> int:
-        """Lookups that required a fresh analysis."""
-        return self._cache.misses
-
-    def get(self, fingerprint: str):
-        """The memoized verdict for a content hash, or ``None``."""
-        return self._cache.get(fingerprint)
-
-    def put(self, fingerprint: str, verdict: object) -> None:
-        """Memoize a freshly computed verdict."""
-        self._cache.put(fingerprint, verdict)
-
-    def shard_stats(self):
-        """Per-shard counter snapshots (see ``ShardedTtlCache``)."""
-        return self._cache.shard_stats()
-
-    def stats(self) -> dict:
-        """Merged counter snapshot across shards."""
-        return self._cache.stats()
-
-    def __len__(self) -> int:
-        return len(self._cache)

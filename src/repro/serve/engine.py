@@ -45,13 +45,12 @@ from collections import deque
 
 from repro.obs.metrics import NULL_METRICS, AnyMetrics
 from repro.obs.trace import NULL_TRACER, AnyTracer
-from repro.parallel.cache import snapshot_fingerprint
+from repro.parallel.cache import TtlCache, snapshot_fingerprint
 from repro.resilience.clock import Clock, SystemClock
 from repro.resilience.errors import DeadlineExceeded, FetchError
 from repro.resilience.retry import Deadline
 from repro.serve.admission import AdmissionController
-from repro.serve.cache import ShardedTtlCache
-from repro.serve.coalesce import InflightTable, VerdictMemo
+from repro.serve.coalesce import InflightTable
 from repro.serve.loadgen import ChaosEvent
 from repro.serve.report import ServingReport
 from repro.serve.request import (
@@ -75,6 +74,23 @@ _EPS = 1e-9
 
 class ServingEngine:
     """Serves verdict requests with explicit overload behaviour.
+
+    Two caches, each a :class:`~repro.parallel.cache.TtlCache`: ``memo``
+    maps snapshot fingerprints to verdicts (unbounded, no TTL, so a
+    run's hits depend on its requests alone) and ``negative``, present
+    when ``negative_ttl`` is set, maps recently unloadable URLs to
+    their shed reason.
+
+    Service times are *modelled*, not measured: an analysis occupies a
+    worker for ``analysis_cost`` simulated seconds, a memo hit for 10%
+    of that and a tier-0 decision for 1%.  Every latency and throughput
+    figure the engine reports follows from these ratios, among them
+    the 10x p50 cut and 1.86x throughput of ``serving_tiered.json``.
+    Measured in perfbench's serve workload (three traced runs, 2-vCPU
+    shared host), a triage decision took 0.30–0.36 ms at the median, a
+    page load 1.09–1.33 ms and an escalated page's extraction 2.0–2.6
+    ms, so triage costs nearer a tenth of an analysis than a
+    hundredth.
 
     Parameters
     ----------
@@ -116,14 +132,11 @@ class ServingEngine:
         are negative-cached for this many simulated seconds and
         repeats are refused instantly without occupying a worker.
         ``None`` (default) disables negative caching.
-    memo_capacity / memo_ttl / memo_shards:
-        Sizing of the sharded content-hash verdict memo.  Defaults
-        (unbounded, no TTL) reproduce the historical run-scoped memo
-        exactly; long-running deployments bound both.
     tracer / metrics:
         Optional observability instruments (``serve.*`` spans incl.
-        ``serve.triage``, per-shard ``cache.shard`` spans; ``serve_*``
-        counters, queue-depth gauge, per-tier latency histograms).
+        ``serve.triage``, one end-of-run ``cache.snapshot`` span of the
+        memo's counters; ``serve_*`` counters, queue-depth gauge,
+        per-tier latency histograms).
     quality:
         Optional :class:`~repro.obs.quality.QualityMonitor`.  Every
         terminal response, memo lookup and tier-0 escalation outcome
@@ -146,9 +159,6 @@ class ServingEngine:
         triage: TriageModel | None = None,
         triage_cost: float | None = None,
         negative_ttl: float | None = None,
-        memo_capacity: int | None = None,
-        memo_ttl: float | None = None,
-        memo_shards: int = 4,
         tracer: AnyTracer = NULL_TRACER,
         metrics: AnyMetrics = NULL_METRICS,
         quality=None,
@@ -180,16 +190,9 @@ class ServingEngine:
         self.metrics = metrics
         self.quality = quality
         self.inflight_table = InflightTable()
-        self.memo = VerdictMemo(
-            capacity=memo_capacity,
-            ttl=memo_ttl,
-            clock=self.clock,
-            shards=memo_shards,
-        )
+        self.memo = TtlCache()
         self.negative = (
-            ShardedTtlCache(
-                ttl=negative_ttl, clock=self.clock, shards=memo_shards
-            )
+            TtlCache(ttl=negative_ttl, clock=self.clock)
             if negative_ttl is not None
             else None
         )
@@ -257,11 +260,11 @@ class ServingEngine:
                         self._next_time(arrivals, chaos_queue),
                         arrivals, chaos_queue, responses,
                     )
-            for index, stats in enumerate(self.memo.shard_stats()):
-                with self.tracer.span(
-                    "cache.shard", cache="memo", index=index, **stats
-                ):
-                    pass
+            memo_stats = self.memo.stats()
+            with self.tracer.span(
+                "cache.snapshot", cache="memo", **memo_stats
+            ):
+                pass
 
         if self.quality is not None:
             # Final SLO + drift pass on drain, so alerts pending inside
@@ -271,7 +274,7 @@ class ServingEngine:
         ordered_responses = [
             responses[request.request_id] for request in ordered
         ]
-        cache_stats = {"memo": self.memo.stats()}
+        cache_stats = {"memo": memo_stats}
         if self.negative is not None:
             cache_stats["negative"] = self.negative.stats()
         return ServingReport(

@@ -166,7 +166,7 @@ class ServingReport:
         """The full machine-readable report: summary + tiers + caches.
 
         Unlike :meth:`summary`, the per-tier breakdown and the cache
-        shard statistics are always present, whatever the engine
+        counter snapshots are always present, whatever the engine
         configuration; safe on empty runs (zero responses yield empty
         tier tables and 0.0 percentiles).
         """

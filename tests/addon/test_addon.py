@@ -4,11 +4,12 @@ import itertools
 
 import pytest
 
-from repro.addon import Action, PhishingPreventionAddon, VerdictCache, WarningPolicy
+from repro.addon import Action, PhishingPreventionAddon
 from repro.core.detector import PhishingDetector
 from repro.core.features import FeatureExtractor
-from repro.core.pipeline import KnowYourPhish
+from repro.core.pipeline import KnowYourPhish, PageVerdict
 from repro.core.target import TargetIdentifier
+from repro.parallel.cache import TtlCache
 from repro.web.ocr import SimulatedOcr
 
 
@@ -26,7 +27,7 @@ def addon(tiny_world):
     return PhishingPreventionAddon(
         pipeline,
         tiny_world.browser,
-        cache=VerdictCache(ttl=10_000),
+        cache=TtlCache(capacity=1000, ttl=10_000),
         clock=lambda: float(clock()),
     )
 
@@ -90,3 +91,35 @@ class TestNavigation:
     def test_median_latency_exposed(self, addon):
         # With the fake counting clock each analysis "takes" 1000ms.
         assert addon.stats.median_analysis_ms >= 0.0
+
+
+class _EchoBrowser:
+    def load(self, url):
+        return url                      # the URL stands in for a snapshot
+
+
+class _CountingPipeline:
+    def __init__(self):
+        self.analyses = 0
+
+    def analyze(self, snapshot):
+        self.analyses += 1
+        return PageVerdict(verdict="legitimate", confidence=0.1, targets=[])
+
+
+class TestDefaultCache:
+    def test_keeps_the_last_1000_urls_for_an_hour(self):
+        now = [0.0]
+        addon = PhishingPreventionAddon(
+            _CountingPipeline(), _EchoBrowser(), clock=lambda: now[0]
+        )
+        assert not addon.navigate("http://a.com/").from_cache
+        now[0] = 3600.0                 # aged exactly the TTL: still fresh
+        assert addon.navigate("http://a.com/").from_cache
+        now[0] = 3600.5                 # past the TTL: analysed again
+        assert not addon.navigate("http://a.com/").from_cache
+        for index in range(1000):
+            addon.navigate(f"http://u{index}.com/")
+        assert len(addon.cache) == 1000
+        assert not addon.navigate("http://a.com/").from_cache  # evicted
+        assert addon.pipeline.analyses == 1003

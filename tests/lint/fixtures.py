@@ -240,7 +240,7 @@ AST_FIXTURES: dict[str, tuple[list[str], list[str]]] = {
             "tracer.span('browse.load')\n",
             "tracer.span('extract.f{group}')\n",  # template segment
             "tracer.span('serve.triage')\n",  # tier-0 triage span
-            "tracer.span('cache.shard')\n",  # per-shard snapshot span
+            "tracer.span('cache.snapshot')\n",  # cache counter snapshot
             "tracer.span('quality.evaluate')\n",  # SLO evaluation span
             "tracer.span('quality.drift')\n",  # drift evaluation span
             "tracer.span('frobnicate')\n",  # single segments: shape only

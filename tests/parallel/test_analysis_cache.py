@@ -1,11 +1,21 @@
-"""Tests for the content-keyed analysis caches."""
+"""Tests for the content-keyed analysis caches and the cache's lock.
+
+The TTL, negative-entry and LRU semantics of :class:`TtlCache` are
+covered in ``tests/serve/test_ttl_cache.py``.
+"""
 
 import pickle
+import random
+import sys
 
 import numpy as np
-import pytest
 
-from repro.parallel import AnalysisCache, LruCache, snapshot_fingerprint
+from repro.parallel import (
+    AnalysisCache,
+    TtlCache,
+    WorkerPool,
+    snapshot_fingerprint,
+)
 from repro.web.page import PageSnapshot, Screenshot
 
 
@@ -42,52 +52,41 @@ class TestFingerprint:
         assert snapshot_fingerprint(snapshot) == snapshot_fingerprint(clone)
 
 
-class TestLruCache:
-    def test_get_put_and_counters(self):
-        cache = LruCache(max_entries=4)
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert cache.hit_rate == 0.5
-
-    def test_eviction_is_lru(self):
-        cache = LruCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")          # refresh "a" -> "b" is now the oldest
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-
-    def test_overwrite_refreshes(self):
-        cache = LruCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)      # re-put refreshes recency
-        cache.put("c", 3)
-        assert cache.get("a") == 10
-        assert cache.get("b") is None
-
-    def test_clear_keeps_counters(self):
-        cache = LruCache()
-        cache.put("a", 1)
-        cache.get("a")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.hits == 1
-
-    def test_rejects_invalid_bound(self):
-        with pytest.raises(ValueError):
-            LruCache(max_entries=0)
-
+class TestTtlCacheLock:
     def test_picklable_despite_lock(self):
-        cache = LruCache(max_entries=8)
+        cache = TtlCache(capacity=8)
         cache.put("a", np.arange(3))
         clone = pickle.loads(pickle.dumps(cache))
         assert np.array_equal(clone.get("a"), np.arange(3))
         clone.put("b", 2)  # the restored lock works
+
+    def test_shared_instance_under_thread_pool(self):
+        capacity, workers, lookups = 4, 4, 20_000
+        cache = TtlCache(capacity=capacity)
+
+        def worker(seed):
+            rng = random.Random(seed)
+            largest = 0
+            for _ in range(lookups):
+                key = f"k{rng.randrange(2 * capacity)}"
+                if cache.get(key) is None:
+                    cache.put(key, seed)
+                largest = max(largest, len(cache))
+            return largest
+
+        # Switch threads as often as the interpreter allows, so that
+        # unlocked LRU bookkeeping would interleave (without the lock a
+        # hit's recency update races another thread's eviction).
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerPool(workers=workers, backend="thread") as pool:
+                largest = pool.map(worker, range(workers))
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache.hits + cache.misses == workers * lookups
+        assert max(largest) <= capacity
+        assert len(cache) == capacity
 
 
 class TestAnalysisCache:
@@ -134,7 +133,7 @@ class TestAnalysisCache:
 
 class TestEvictionCounters:
     def test_overfill_counts_evictions(self):
-        cache = LruCache(max_entries=3)
+        cache = TtlCache(capacity=3)
         for i in range(10):
             cache.put(i, i)
         assert len(cache) == 3
@@ -142,7 +141,7 @@ class TestEvictionCounters:
         assert cache.counts() == {"hits": 0, "misses": 0, "evictions": 7}
 
     def test_replacing_a_key_is_not_an_eviction(self):
-        cache = LruCache(max_entries=2)
+        cache = TtlCache(capacity=2)
         cache.put("a", 1)
         cache.put("a", 2)
         cache.put("b", 1)
@@ -160,10 +159,10 @@ class TestEvictionCounters:
 
 class TestMergeCounts:
     def test_lru_merge_from_cache_and_dict(self):
-        ours = LruCache()
+        ours = TtlCache()
         ours.put("a", 1)
         ours.get("a")
-        theirs = LruCache(max_entries=1)
+        theirs = TtlCache(capacity=1)
         theirs.get("missing")
         theirs.put("x", 1)
         theirs.put("y", 1)          # evicts x

@@ -1,6 +1,6 @@
-"""Tests for in-flight coalescing and the content-hash verdict memo."""
+"""Tests for in-flight coalescing."""
 
-from repro.serve.coalesce import InflightTable, VerdictMemo
+from repro.serve.coalesce import InflightTable
 from repro.serve.request import ServeRequest
 
 
@@ -45,21 +45,3 @@ class TestInflightTable:
         table.lead(leader)
         assert table.complete(leader) == []
         assert table.coalesced_total == 0
-
-
-class TestVerdictMemo:
-    def test_miss_then_hit(self):
-        memo = VerdictMemo()
-        assert memo.get("fp-1") is None
-        memo.put("fp-1", "verdict")
-        assert memo.get("fp-1") == "verdict"
-        assert memo.hits == 1
-        assert memo.misses == 1
-        assert len(memo) == 1
-
-    def test_keys_are_independent(self):
-        memo = VerdictMemo()
-        memo.put("fp-1", "a")
-        memo.put("fp-2", "b")
-        assert memo.get("fp-1") == "a"
-        assert memo.get("fp-2") == "b"

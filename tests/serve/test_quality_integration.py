@@ -218,14 +218,14 @@ class TestRunReportFromArtifacts:
         assert actions["phish"] == 1
         assert actions["escalate"] == 4
 
-    def test_shard_rows_come_from_spans(self, artifacts):
+    def test_memo_snapshot_comes_from_spans(self, artifacts):
         report = RunReport.from_artifacts(spans_path=artifacts["spans"])
-        rows = report.shard_rows()
-        assert rows, "engine dumps cache.shard spans on drain"
-        assert {row["cache"] for row in rows} == {"memo"}
-        assert [row["index"] for row in rows] == sorted(
-            row["index"] for row in rows
-        )
+        # One end-of-run snapshot: the four escalated URLs each missed
+        # the memo once and filled it.
+        assert report.cache_snapshots() == [{
+            "cache": "memo", "size": 4, "hits": 0, "misses": 4,
+            "evictions": 0,
+        }]
 
     def test_render_includes_quality_sections(self, artifacts):
         report = RunReport.from_artifacts(

@@ -264,7 +264,6 @@ class TestEngineTriage:
         tracer = Tracer(clock=ManualClock())
         engine, _b, _p = _engine(
             triage=CONFIDENT, metrics=metrics, tracer=tracer,
-            memo_shards=4,
         )
         engine.run(build_requests(_arrivals(
             (0.0, "http://phish.bad/"),
@@ -283,7 +282,7 @@ class TestEngineTriage:
             "serve_tier_total", tier=TIER_FULL) == 1
         names = [span.name for span in tracer.iter_spans()]
         assert names.count("serve.triage") == 3
-        assert names.count("cache.shard") == 4    # one per memo shard
+        assert names.count("cache.snapshot") == 1  # the memo's counters
 
     def test_report_tiers_block_only_when_ladder_is_on(self):
         engine, _b, _p = _engine()

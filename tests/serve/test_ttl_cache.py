@@ -1,23 +1,24 @@
 """TTL/LRU cache semantics under explicit, injected time.
 
-Every test drives a :class:`~repro.serve.cache.TtlCacheShard` or a
-:class:`~repro.serve.cache.ShardedTtlCache` on a
+Every test drives a :class:`~repro.parallel.cache.TtlCache` on a
 :class:`~repro.resilience.clock.ManualClock` (or explicit ``now``
 arguments), so expiry, eviction, and counters are fully deterministic:
 the properties asserted here are exactly what the serving engine's
-memo and negative cache rely on.
+memo and negative cache and the add-on's verdict cache rely on.  The
+cache's lock and pickling are tested in
+``tests/parallel/test_analysis_cache.py``.
 """
 
 import pytest
 
+from repro.parallel.cache import TtlCache
 from repro.resilience.clock import ManualClock
-from repro.serve import ShardedTtlCache, TtlCacheShard, shard_index
 
 
 class TestTtlExpiry:
     def test_entry_aged_exactly_ttl_is_still_valid(self):
         clock = ManualClock()
-        cache = TtlCacheShard(ttl=10.0, clock=clock)
+        cache = TtlCache(ttl=10.0, clock=clock)
         cache.put("k", "v")
         clock.sleep(10.0)              # age == ttl: boundary inclusive
         assert cache.get("k") == "v"
@@ -25,7 +26,7 @@ class TestTtlExpiry:
 
     def test_entry_strictly_past_ttl_expires_and_counts(self):
         clock = ManualClock()
-        cache = TtlCacheShard(ttl=10.0, clock=clock)
+        cache = TtlCache(ttl=10.0, clock=clock)
         cache.put("k", "v")
         clock.sleep(10.0 + 1e-9)
         assert cache.get("k") is None
@@ -36,7 +37,7 @@ class TestTtlExpiry:
 
     def test_refresh_restarts_the_clock(self):
         clock = ManualClock()
-        cache = TtlCacheShard(ttl=10.0, clock=clock)
+        cache = TtlCache(ttl=10.0, clock=clock)
         cache.put("k", "old")
         clock.sleep(8.0)
         cache.put("k", "new")          # re-put resets cached_at
@@ -44,18 +45,18 @@ class TestTtlExpiry:
         assert cache.get("k") == "new"
 
     def test_explicit_now_overrides_the_clock(self):
-        cache = TtlCacheShard(ttl=5.0)
+        cache = TtlCache(ttl=5.0)
         cache.put("k", "v", now=100.0)
         assert cache.get("k", now=105.0) == "v"
         assert cache.get("k", now=105.1) is None
 
     def test_ttl_without_time_source_is_an_error(self):
-        cache = TtlCacheShard(ttl=5.0)
+        cache = TtlCache(ttl=5.0)
         with pytest.raises(ValueError):
             cache.put("k", "v")        # no clock, no now
 
     def test_no_ttl_entries_never_expire(self):
-        cache = TtlCacheShard()
+        cache = TtlCache()
         cache.put("k", "v")
         assert cache.get("k") == "v"
 
@@ -63,7 +64,7 @@ class TestTtlExpiry:
 class TestNegativeEntries:
     def test_negative_ttl_is_separate_from_positive(self):
         clock = ManualClock()
-        cache = TtlCacheShard(ttl=100.0, negative_ttl=5.0, clock=clock)
+        cache = TtlCache(ttl=100.0, negative_ttl=5.0, clock=clock)
         cache.put("good", "verdict")
         cache.put("bad", "shed_upstream", negative=True)
         clock.sleep(6.0)               # past negative_ttl, within ttl
@@ -75,7 +76,7 @@ class TestNegativeEntries:
 
     def test_negative_hits_are_tallied_apart(self):
         clock = ManualClock()
-        cache = TtlCacheShard(ttl=10.0, clock=clock)
+        cache = TtlCache(ttl=10.0, clock=clock)
         cache.put("bad", "reason", negative=True)
         cache.put("good", "verdict")
         assert cache.get("bad") == "reason"
@@ -85,13 +86,13 @@ class TestNegativeEntries:
         assert stats["negative_hits"] == 1
 
     def test_negative_ttl_defaults_to_ttl(self):
-        cache = TtlCacheShard(ttl=7.0)
+        cache = TtlCache(ttl=7.0)
         assert cache.negative_ttl == 7.0
 
 
 class TestLruEviction:
     def test_capacity_bound_evicts_least_recently_used(self):
-        cache = TtlCacheShard(capacity=2)
+        cache = TtlCache(capacity=2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1     # refresh a's recency
@@ -101,9 +102,18 @@ class TestLruEviction:
         assert cache.get("c") == 3
         assert cache.stats()["evictions"] == 1
 
+    def test_overwrite_refreshes(self):
+        cache = TtlCache(capacity=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("a", 10)      # re-put refreshes recency
+        cache.put("c", 3)
+        assert cache.get("a") == 10
+        assert cache.get("b") is None
+
     def test_eviction_under_pressure_is_deterministic(self):
         def run():
-            cache = TtlCacheShard(capacity=4)
+            cache = TtlCache(capacity=4)
             for i in range(100):
                 cache.put(f"k{i % 7}", i)
                 cache.get(f"k{(i + 3) % 7}")
@@ -115,7 +125,7 @@ class TestLruEviction:
         assert run() == run()
 
     def test_clear_drops_entries_but_keeps_counters(self):
-        cache = TtlCacheShard(capacity=4)
+        cache = TtlCache(capacity=4)
         cache.put("a", 1)
         cache.get("a")
         cache.get("zzz")
@@ -125,7 +135,7 @@ class TestLruEviction:
         assert stats["hits"] == 1 and stats["misses"] == 1
 
     def test_invalidate(self):
-        cache = TtlCacheShard()
+        cache = TtlCache()
         cache.put("a", 1)
         assert cache.invalidate("a") is True
         assert cache.invalidate("a") is False
@@ -133,99 +143,8 @@ class TestLruEviction:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TtlCacheShard(capacity=0)
+            TtlCache(capacity=0)
         with pytest.raises(ValueError):
-            TtlCacheShard(ttl=0.0)
+            TtlCache(ttl=0.0)
         with pytest.raises(ValueError):
-            TtlCacheShard(negative_ttl=-1.0)
-
-
-def _drive(cache, clock):
-    """One fixed op sequence: puts, hits, misses, expiries, negatives."""
-    for i in range(40):
-        cache.put(f"url{i}", i)
-    for i in range(0, 40, 2):
-        assert cache.get(f"url{i}") == i
-    for i in range(40, 50):
-        assert cache.get(f"url{i}") is None
-    cache.put("down", "shed_upstream", negative=True)
-    assert cache.get("down") == "shed_upstream"
-    clock.sleep(30.0)                  # expire everything (ttl=20)
-    for i in range(40):
-        assert cache.get(f"url{i}") is None
-
-
-class TestShardedTtlCache:
-    def test_shard_placement_is_a_pure_content_hash(self):
-        cache = ShardedTtlCache(shards=4)
-        for key in ("http://a.com/", "http://b.com/", "x" * 100):
-            index = shard_index(key, 4)
-            assert index == shard_index(key, 4)    # stable
-            cache.put(key, "v")
-            assert len(cache._shards[index]) >= 1
-
-    def test_sharded_totals_equal_unsharded_totals(self):
-        """Sharding must be invisible in the aggregate counters."""
-        clock_sharded, clock_flat = ManualClock(), ManualClock()
-        sharded = ShardedTtlCache(
-            ttl=20.0, negative_ttl=5.0, clock=clock_sharded, shards=4
-        )
-        flat = TtlCacheShard(
-            ttl=20.0, negative_ttl=5.0, clock=clock_flat
-        )
-        _drive(sharded, clock_sharded)
-        _drive(flat, clock_flat)
-        flat_stats = flat.stats()
-        merged = sharded.stats()
-        assert merged == {"shards": 4, **flat_stats}
-
-    def test_stats_totals_equal_shard_wise_sums(self):
-        clock = ManualClock()
-        cache = ShardedTtlCache(ttl=20.0, clock=clock, shards=4)
-        _drive(cache, clock)
-        per_shard = list(cache.shard_stats())
-        assert len(per_shard) == 4
-        merged = cache.stats()
-        for counter in ("size", "hits", "misses", "negative_hits",
-                        "expirations", "evictions"):
-            assert merged[counter] == sum(s[counter] for s in per_shard)
-
-    def test_capacity_splits_across_shards(self):
-        cache = ShardedTtlCache(capacity=10, shards=4)
-        # 10 = 3 + 3 + 2 + 2: the first remainder shards take the extra.
-        assert [shard.capacity for shard in cache._shards] == [3, 3, 2, 2]
-
-    def test_shards_evict_independently_and_deterministically(self):
-        def run():
-            cache = ShardedTtlCache(capacity=8, shards=4)
-            for i in range(200):
-                cache.put(f"url{i % 23}", i)
-                cache.get(f"url{(i + 5) % 23}")
-            return cache.stats(), list(cache.shard_stats())
-
-        first, second = run(), run()
-        assert first == second
-        assert first[0]["evictions"] > 0
-        assert first[0]["size"] <= 8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShardedTtlCache(shards=0)
-        with pytest.raises(ValueError):
-            ShardedTtlCache(capacity=2, shards=4)   # a shard with no slot
-
-    def test_clear_and_len_span_all_shards(self):
-        cache = ShardedTtlCache(shards=4)
-        for i in range(20):
-            cache.put(f"k{i}", i)
-        assert len(cache) == 20
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.hits + cache.misses == 0
-
-    def test_hit_rate_aggregates(self):
-        cache = ShardedTtlCache(shards=2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("missing")
-        assert cache.hit_rate == pytest.approx(0.5)
+            TtlCache(negative_ttl=-1.0)
