@@ -168,6 +168,7 @@ class TargetIdentifier:
                 )
 
         candidates: dict[str, int] = {}
+        controlled: dict[str, list[str]] | None = None
 
         # ---- steps 2-4: keyterm queries ---------------------------------
         steps = [
@@ -194,7 +195,9 @@ class TargetIdentifier:
                     continue
                 if result.rdn in suspected_rdns:
                     continue
-                if self._appears_in_controlled_source(result.mld, sources):
+                if controlled is None:
+                    controlled = self._controlled_terms(sources)
+                if self._appears_in_controlled_source(result.mld, controlled):
                     candidates[result.mld] = 0
                     found_new = True
             # The paper moves to target selection as soon as a step
@@ -230,21 +233,43 @@ class TargetIdentifier:
                 seen.setdefault(url.mld, None)
         return list(seen)
 
+    @staticmethod
+    def _controlled_terms(sources: DataSources) -> dict[str, list[str]]:
+        """Term -> the controlled sources whose distribution holds it."""
+        index: dict[str, list[str]] = {}
+        for name in _CONTROLLED_SOURCES:
+            for term in sources.distribution(name):
+                index.setdefault(term, []).append(name)
+        return index
+
+    @staticmethod
     def _appears_in_controlled_source(
-        self, mld: str, sources: DataSources
+        mld: str, controlled: dict[str, list[str]]
     ) -> bool:
-        """Does ``mld`` show up in a source the page owner controls?"""
+        """Does ``mld`` show up in a source the page owner controls?
+
+        It does when its compact canonical form is a term of one
+        (``controlled`` is :meth:`_controlled_terms`), or when it is
+        composable from one source's terms.  A term can only take part
+        in a composition where it is a substring of the mld, so each
+        source is tried with just those of its terms.
+        """
         canonical = compact_canonical(mld)
         if len(canonical) < 3:
             return False
-        for name in _CONTROLLED_SOURCES:
-            distribution = sources.distribution(name)
-            if canonical in distribution:
-                return True
-            terms = distribution.terms
-            if terms and mld_composable_from(mld, terms):
-                return True
-        return False
+        if canonical in controlled:
+            return True
+        target = mld.lower()
+        pieces = {
+            target[start:end]
+            for start in range(len(target))
+            for end in range(start + 1, len(target) + 1)
+        }
+        held: dict[str, list[str]] = {}
+        for piece in pieces:
+            for name in controlled.get(piece, ()):
+                held.setdefault(name, []).append(piece)
+        return any(mld_composable_from(mld, terms) for terms in held.values())
 
     @staticmethod
     def _haystacks(sources: DataSources) -> list[str]:

@@ -3,7 +3,8 @@
 Real phishing pages are frequently malformed (unclosed tags, stray
 end-tags), so the builder never raises on bad input: unknown end tags are
 ignored and unclosed elements are implicitly closed at end of input.
-Void elements (``img``, ``br``, ``input``...) never take children.
+Void elements (``img``, ``br``, ``input``...) never take children, and a
+repeated attribute keeps its first value, as in a browser.
 """
 
 from __future__ import annotations
@@ -37,11 +38,18 @@ class HtmlNode:
 
     # ---- traversal ----------------------------------------------------
     def iter_nodes(self):
-        """Depth-first iteration over this node and all element descendants."""
-        yield self
-        for child in self.children:
-            if isinstance(child, HtmlNode):
-                yield from child.iter_nodes()
+        """This node and all element descendants in document (pre-)order.
+
+        One generator over an explicit stack, not one per element.
+        """
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(
+                child for child in reversed(node.children)
+                if isinstance(child, HtmlNode)
+            )
 
     def find_all(self, tag: str) -> list["HtmlNode"]:
         """All descendant elements (including self) with the given tag."""
@@ -77,6 +85,18 @@ class HtmlNode:
                 child._collect_text(fragments)
 
 
+def _attributes(attrs) -> dict[str, str]:
+    """One start tag's attributes; a repeated name keeps its first value.
+
+    The HTML tokenizer drops later duplicates, and so does every
+    browser: ``<a href=real href=decoy>`` links to ``real``.
+    """
+    attributes: dict[str, str] = {}
+    for name, value in attrs:
+        attributes.setdefault(name.lower(), value or "")
+    return attributes
+
+
 class _DomBuilder(HTMLParser):
     """Streams html.parser events into an :class:`HtmlNode` tree."""
 
@@ -87,13 +107,13 @@ class _DomBuilder(HTMLParser):
 
     # -- element events --
     def handle_starttag(self, tag, attrs):
-        node = HtmlNode(tag, {k.lower(): (v or "") for k, v in attrs}, self._stack[-1])
+        node = HtmlNode(tag, _attributes(attrs), self._stack[-1])
         self._stack[-1].children.append(node)
         if tag not in VOID_ELEMENTS:
             self._stack.append(node)
 
     def handle_startendtag(self, tag, attrs):
-        node = HtmlNode(tag, {k.lower(): (v or "") for k, v in attrs}, self._stack[-1])
+        node = HtmlNode(tag, _attributes(attrs), self._stack[-1])
         self._stack[-1].children.append(node)
 
     def handle_endtag(self, tag):

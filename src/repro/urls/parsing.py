@@ -142,6 +142,31 @@ def _host_fields(host: str, psl: PublicSuffixList):
     return (False, subdomains, mld or None, suffix or None, rdn)
 
 
+def _host_and_port(netloc: str) -> tuple[str, int | None]:
+    """Host and port of a netloc, as ``SplitResult.hostname``/``.port``.
+
+    Those properties re-split the netloc on every read; this splits it
+    once.  The host is returned as written (``""`` when absent) for the
+    caller to lower-case, and a port that ``.port`` would reject with
+    ``ValueError`` (not ASCII digits, above 65535, or too long for
+    ``int``) is ``None``.
+    """
+    hostinfo = netloc.rpartition("@")[2]
+    _, bracket, bracketed = hostinfo.partition("[")
+    if bracket:
+        host, _, after = bracketed.partition("]")
+        port = after.partition(":")[2]
+    else:
+        host, _, port = hostinfo.partition(":")
+    if not (port.isdigit() and port.isascii()):
+        return host, None
+    try:
+        number = int(port)
+    except ValueError:  # more digits than int() converts, as in .port
+        return host, None
+    return host, (number if number <= 65535 else None)
+
+
 def parse_url(
     url: str,
     psl: PublicSuffixList | None = None,
@@ -172,7 +197,8 @@ def parse_url(
     except ValueError as exc:
         raise UrlParseError(f"malformed URL {url!r}: {exc}") from exc
 
-    host = (split.hostname or "").strip().strip(".").lower()
+    hostname, port = _host_and_port(split.netloc)
+    host = hostname.strip().strip(".").lower()
     if not host:
         raise UrlParseError(f"URL has no host: {url!r}")
     fields = None if hosts is None else hosts.get(host)
@@ -183,10 +209,6 @@ def parse_url(
     if isinstance(fields, str):
         raise UrlParseError(f"invalid host label {fields!r} in {url!r}")
 
-    try:
-        port = split.port
-    except ValueError:
-        port = None
     is_ip, subdomains, mld, suffix, rdn = fields
     return ParsedUrl(
         raw=url,

@@ -2,8 +2,36 @@
 
 import pytest
 
-from repro.core.target import TargetIdentifier, mld_composable_from
+from repro.core.target import (
+    _CONTROLLED_SOURCES,
+    TargetIdentifier,
+    mld_composable_from,
+)
+from repro.text.terms import compact_canonical
 from repro.web.ocr import SimulatedOcr
+
+
+class _PerSourceIdentifier(TargetIdentifier):
+    """Identification with the per-source check the term index replaced:
+    each controlled distribution in turn, membership then composability
+    over all of its terms.  Kept as the reference."""
+
+    def _controlled_terms(self, sources):
+        return sources
+
+    @staticmethod
+    def _appears_in_controlled_source(mld, sources):
+        canonical = compact_canonical(mld)
+        if len(canonical) < 3:
+            return False
+        for name in _CONTROLLED_SOURCES:
+            distribution = sources.distribution(name)
+            if canonical in distribution:
+                return True
+            terms = distribution.terms
+            if terms and mld_composable_from(mld, terms):
+                return True
+        return False
 
 
 class TestComposable:
@@ -98,3 +126,33 @@ class TestIdentification:
                 assert result.top_target == result.targets[0]
             else:
                 assert result.top_target is None
+
+
+class TestControlledTermIndex:
+    def test_identifications_match_per_source_reference(self, tiny_world):
+        ocr = SimulatedOcr(error_rate=0.02)
+        indexed = TargetIdentifier(tiny_world.search, ocr=ocr)
+        reference = _PerSourceIdentifier(tiny_world.search, ocr=ocr)
+        snapshots = {
+            page.snapshot.starting_url: page.snapshot
+            for dataset in tiny_world.datasets.values()
+            for page in dataset
+        }
+        verdicts = set()
+        for url, snapshot in sorted(snapshots.items()):
+            result = indexed.identify(snapshot)
+            assert result == reference.identify(snapshot), url
+            verdicts.add((result.verdict, result.step))
+        # The check decides candidates on many pages, not a trivial few.
+        assert ("phish", 5) in verdicts
+        assert len(snapshots) > 500
+
+    def test_composition_inside_one_source_only(self):
+        index = {"bank": ["title"], "ofamerica": ["text"], "america": ["title"]}
+        appears = TargetIdentifier._appears_in_controlled_source
+        # "bank" and "america" are both title terms; the title composes it.
+        assert appears("bank-america", index)
+        # "bank" (title) and "ofamerica" (text) sit in different sources.
+        assert not appears("bankofamerica", index)
+        assert appears("bankofamerica", {**index, "bankofamerica": ["land"]})
+        assert not appears("ba", index)

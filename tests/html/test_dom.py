@@ -1,5 +1,8 @@
 """Tests for the fault-tolerant DOM builder."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.html.dom import HtmlNode, parse_html
 
 
@@ -15,6 +18,14 @@ class TestParsing:
         anchor = root.find("a")
         assert anchor.get("href") == "/x"
         assert anchor.get("class") == "y"
+
+    def test_repeated_attribute_keeps_first(self):
+        root = parse_html(
+            '<a href="https://evil.example/login" href="https://bank.example/">'
+            'x</a><img SRC="first.png" src="second.png" Src="third.png">'
+        )
+        assert root.find("a").get("href") == "https://evil.example/login"
+        assert root.find("img").attrs == {"src": "first.png"}
 
     def test_get_default(self):
         root = parse_html("<p>x</p>")
@@ -52,6 +63,32 @@ class TestParsing:
         assert "a & b" in root.find("p").text()
 
 
+def _recursive_pre_order(node):
+    """The recursive walk ``iter_nodes`` had before; kept as the reference."""
+    yield node
+    for child in node.children:
+        if isinstance(child, HtmlNode):
+            yield from _recursive_pre_order(child)
+
+
+#: Markup fragments that nest, leave elements unclosed, close tags that
+#: were never opened, mix void and self-closed elements and interleave
+#: text, joined in random order.
+_MARKUP = st.lists(
+    st.one_of(
+        st.sampled_from([
+            "<div>", "</div>", "<p>", "</p>", "<span>", "</span>", "<b>",
+            "</i>", "<img src=x>", "<br/>", "<ul><li>", "</li>", "</ul>",
+            "<table><tr><td>", "</table>", "<title>t</title>", "<body>",
+            "</html>", "<script>x<y</script>", "<a href='/x'>", "</a>",
+            "<!-- c -->", "<p/>", "<input>", "text", " ",
+        ]),
+        st.text(max_size=6),
+    ),
+    max_size=40,
+).map("".join)
+
+
 class TestTraversal:
     def test_find_all(self):
         root = parse_html("<ul><li>1</li><li>2</li><li>3</li></ul>")
@@ -68,6 +105,14 @@ class TestTraversal:
         root = parse_html("<div><p>x</p></div>")
         tags = [node.tag for node in root.iter_nodes()]
         assert tags == ["#document", "div", "p"]
+
+    @given(_MARKUP)
+    @settings(max_examples=300, deadline=None)
+    def test_iter_nodes_matches_recursive_walk(self, markup):
+        root = parse_html(markup)
+        assert list(root.iter_nodes()) == list(_recursive_pre_order(root))
+        for node in root.iter_nodes():
+            assert list(node.iter_nodes()) == list(_recursive_pre_order(node))
 
     def test_parent_links(self):
         root = parse_html("<div><p>x</p></div>")

@@ -1,10 +1,19 @@
 """Tests for URL decomposition (Section II-B model)."""
 
+from urllib.parse import urlsplit
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.urls.parsing import ParsedUrl, UrlParseError, parse_url
+from repro.urls.parsing import (
+    ParsedUrl,
+    UrlParseError,
+    _host_and_port,
+    _host_fields,
+    parse_url,
+)
+from repro.urls.public_suffix import default_psl
 from tests.core.test_batch_differential import _HOST, _URL
 
 #: URLs whose hosts recur, with valid, invalid and IP hosts among them.
@@ -142,6 +151,79 @@ class TestHostMemo:
             with pytest.raises(UrlParseError, match="invalid host label"):
                 parse_url(url, hosts=hosts)
         assert hosts == {"exa mple.com": "exa mple"}
+
+
+#: Netlocs covering every branch of the host/port split: userinfo (with
+#: its own ``@``, ``:`` and brackets), bracketed hosts with a ``%zone``,
+#: casing that ``str.lower`` maps by context (final sigma, dotted I),
+#: and ports that are empty, padded, non-ASCII digits or out of range.
+_NETLOC = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "user@", "user:pw@", "a@b@", "@", ":@", "u[x]@"]),
+    st.one_of(
+        _HOST,
+        st.sampled_from([
+            "", ".", "a..b", "ExAmple.COM.", " bank.com", "10.0.0.1",
+            "[::1]", "[2001:DB8::1]", "[fe80::1%eth0]", "[fe80::1%ZoNe]",
+            "[v1.x]", "[1.2.3.4]", "[::1", "::1]", "ΑΣ.gr", "aΣ%ΣΑ",
+            "İstanbul.com", "℀.com", "bäcker.de", "a%b.com",
+        ]),
+        st.text(max_size=10),
+    ),
+    st.one_of(
+        st.sampled_from([
+            "", ":", ":80", ":0080", ":65535", ":65536", ":99999999",
+            ":８０", ":٣", ":²", ":8a", ":-1", ":+1", ": 80", ":80:81",
+            ":" + "0" * 5000 + "80",
+        ]),
+        st.integers(0, 10**6).map(":{}".format),
+        st.text(max_size=4).map(":{}".format),
+    ),
+)
+
+
+class TestHostAndPort:
+    """``parse_url`` splits the netloc once; ``SplitResult`` is the oracle."""
+
+    @given(_NETLOC, st.sampled_from(["", "/", "/p?q#f", "?x", "#y"]))
+    @settings(max_examples=400, deadline=None)
+    def test_fqdn_and_port_match_urlsplit(self, netloc, rest):
+        url = f"http://{netloc}{rest}"
+        try:
+            split = urlsplit(url)
+        except ValueError:
+            with pytest.raises(UrlParseError, match="malformed URL"):
+                parse_url(url)
+            return
+        hostname = split.hostname or ""
+        try:
+            port = split.port
+        except ValueError:
+            port = None
+        raw_host, raw_port = _host_and_port(split.netloc)
+        assert raw_host.lower() == hostname.lower()
+        assert raw_port == port
+        host = hostname.strip().strip(".").lower()
+        try:
+            parsed = parse_url(url)
+        except UrlParseError as error:
+            if not host:
+                assert "has no host" in str(error)
+            else:
+                label = _host_fields(host, default_psl())
+                assert isinstance(label, str)
+                assert f"invalid host label {label!r}" in str(error)
+            return
+        assert (parsed.fqdn, parsed.port) == (host, port)
+
+    def test_examples(self):
+        parsed = parse_url("https://u:p@[FE80::1%Eth0]:0443/x")
+        assert (parsed.fqdn, parsed.port, parsed.is_ip) == (
+            "fe80::1%eth0", 443, True
+        )
+        assert parse_url("http://Bank.Example.:65536/").port is None
+        assert parse_url("http://bank.example:８０/").port is None
+        assert parse_url("http://a@b@Bank.Example:80/").fqdn == "bank.example"
 
 
 class TestHelpers:
