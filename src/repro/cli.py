@@ -63,7 +63,7 @@ _EXPERIMENTS = {
     "ext-drift": "Extension  - recall under temporal campaign drift",
     "ext-robustness": "Extension  - resilience under injected faults",
     "ext-throughput": "Extension  - batch throughput (serial vs parallel, cold vs warm cache)",
-    "ext-training": "Extension  - training speed (tree methods + fold-parallel CV)",
+    "ext-training": "Extension  - training speed (ensemble fit + fold-parallel CV)",
 }
 
 
@@ -80,7 +80,6 @@ def _build_lab(args) -> Lab:
         n_estimators=args.estimators,
         workers=workers or None,
         cache=args.cache,
-        tree_method=getattr(args, "tree_method", "presort"),
     )
 
 
@@ -224,12 +223,14 @@ def _run_experiment(lab: Lab, experiment: str) -> str:
         )
     if experiment == "ext-training":
         result = lab.training_benchmark()
-        methods = format_table(
-            ["tree_method", "fit_seconds", "stages_per_sec",
-             "speedup_vs_exact", "proba_identical"],
-            [[name, m["fit_seconds"], m["stages_per_sec"],
-              m["speedup_vs_exact"], m["proba_identical_to_exact"]]
-             for name, m in result["methods"].items()],
+        fit = result["fit"]
+        fit_table = format_table(
+            ["metric", "value"],
+            [[name, fit[name]] for name in (
+                "n_samples", "n_features", "n_stages", "fit_seconds",
+                "prep_seconds", "stages_per_sec", "nodes_built",
+                "split_evaluations",
+            )],
         )
         cv = result["cross_validation"]
         cv_table = format_table(
@@ -242,7 +243,7 @@ def _run_experiment(lab: Lab, experiment: str) -> str:
              ["scores_identical", cv["scores_identical"]]],
         )
         return (
-            "tree methods (fit on the training matrix):\n" + methods
+            "ensemble fit on the training matrix:\n" + fit_table
             + "\n\nfold-parallel cross-validation:\n" + cv_table
         )
     raise ValueError(f"unknown experiment {experiment!r}")
@@ -574,13 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache", action=argparse.BooleanOptionalAction, default=True,
         help="memoize per-snapshot feature work by content hash "
              "(--no-cache disables)",
-    )
-    parser.add_argument(
-        "--tree-method", choices=("exact", "presort", "histogram"),
-        default="presort", dest="tree_method",
-        help="split-finding strategy for training: presort is "
-             "bit-identical to exact but much faster; histogram is "
-             "approximate (default presort)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 

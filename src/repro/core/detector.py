@@ -42,11 +42,6 @@ class PhishingDetector:
         Gradient boosting hyperparameters.
     random_state:
         Seed for the stochastic parts of boosting.
-    tree_method:
-        Split-finding strategy for training (see
-        :class:`~repro.ml.boosting.GradientBoostingClassifier`):
-        ``"presort"`` (default, bit-identical to ``"exact"`` but much
-        faster) or the approximate ``"histogram"``.
     """
 
     def __init__(
@@ -59,7 +54,6 @@ class PhishingDetector:
         max_depth: int = 3,
         subsample: float = 0.9,
         random_state: int | None = 0,
-        tree_method: str = "presort",
     ):
         if not 0 <= threshold <= 1:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -73,7 +67,6 @@ class PhishingDetector:
             max_depth=max_depth,
             subsample=subsample,
             random_state=random_state,
-            tree_method=tree_method,
         )
 
     # ------------------------------------------------------------------

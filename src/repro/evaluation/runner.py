@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import gc
 import time
+from functools import partial
 
 import numpy as np
 
@@ -74,37 +75,6 @@ def _timed_round(fn):
         gc.enable()
 
 
-class _FoldDetectorFactory:
-    """Picklable factory building one fresh detector per CV fold.
-
-    Module-level (not a closure over the Lab) so the ``process`` pool
-    backend can ship it to workers.  Cross-validation operates on
-    precomputed feature matrices, so the detector's own extractor is
-    never used and each fold builds a default one.
-    """
-
-    def __init__(
-        self,
-        feature_set: str,
-        threshold: float,
-        n_estimators: int,
-        tree_method: str,
-    ):
-        self.feature_set = feature_set
-        self.threshold = threshold
-        self.n_estimators = n_estimators
-        self.tree_method = tree_method
-
-    def __call__(self) -> PhishingDetector:
-        """Build a fresh, identically configured detector."""
-        return PhishingDetector(
-            feature_set=self.feature_set,
-            threshold=self.threshold,
-            n_estimators=self.n_estimators,
-            tree_method=self.tree_method,
-        )
-
-
 class Lab:
     """Builds the world once; runs and caches every experiment.
 
@@ -131,10 +101,6 @@ class Lab:
     cache:
         Whether to memoize term distributions, pair matrices and feature
         vectors by snapshot content hash (default on).
-    tree_method:
-        Split-finding strategy for every trained detector:
-        ``"presort"`` (default; bit-identical to ``"exact"`` but much
-        faster), ``"exact"``, or the approximate ``"histogram"``.
     """
 
     def __init__(
@@ -146,12 +112,10 @@ class Lab:
         workers: int | None = None,
         pool_backend: str = "thread",
         cache: bool = True,
-        tree_method: str = "presort",
     ):
         self.config = config or CorpusConfig()
         self.threshold = threshold
         self.n_estimators = n_estimators
-        self.tree_method = tree_method
         self.world: World = build_world(self.config)
         self.cache: AnalysisCache | None = (
             AnalysisCache(max_entries=16384) if cache else None
@@ -203,7 +167,6 @@ class Lab:
                 feature_set=feature_set,
                 threshold=self.threshold,
                 n_estimators=self.n_estimators,
-                tree_method=self.tree_method,
             )
             model.fit(X, y)
             self._detectors[feature_set] = model
@@ -235,11 +198,14 @@ class Lab:
         if key in self._scenario1_cache:
             return self._scenario1_cache[key]
         X, y = self.train_matrix()
-        factory = _FoldDetectorFactory(
+        # A partial, not a closure over the Lab, so the process pool
+        # backend can ship it to workers.  Folds fit precomputed feature
+        # matrices, so each fold's detector keeps a default extractor.
+        factory = partial(
+            PhishingDetector,
             feature_set=feature_set,
             threshold=self.threshold,
             n_estimators=self.n_estimators,
-            tree_method=self.tree_method,
         )
         result = cross_validate_scores(
             factory, X, y, n_splits=n_splits,
@@ -1028,93 +994,70 @@ class Lab:
         cv_workers: int = 4,
         cv_backend: str = "process",
     ) -> dict:
-        """Training-speed benchmark: tree methods + fold-parallel CV.
+        """Training-speed benchmark: one ensemble fit + fold-parallel CV.
 
         Part one fits the ensemble on the standard corpus feature
-        matrix (legTrain + phishTrain, paper hyperparameters) once per
-        ``tree_method`` and reports each method's
-        :class:`~repro.ml.instrumentation.TrainingStats`, its speedup
-        over the seed ``exact`` path, and whether its ``predict_proba``
-        output is bit-identical to ``exact`` (guaranteed for
-        ``presort``, not for ``histogram``).
+        matrix (legTrain + phishTrain, paper hyperparameters) and
+        reports its :class:`~repro.ml.instrumentation.TrainingStats`
+        plus the fit's wall time.
 
         Part two runs scenario1-style cross-validation serially and
         fold-parallel over a ``cv_workers``-worker pool and reports the
-        speedup plus an exact equality check of the pooled scores.  The
-        default backend is ``process``: tree fitting holds the GIL, so
-        threads cannot parallelise it.  On a single-core machine the
-        parallel run cannot win — equality still holds and the measured
-        (possibly sub-1x) speedup is reported as-is.
+        speedup plus an exact equality check of the pooled scores.  On
+        a single-core machine the parallel run cannot win — equality
+        still holds and the measured (possibly sub-1x) speedup is
+        reported as-is.
 
-        Returns a machine-readable dict; the training benchmark writes
-        it to ``benchmarks/results/training.json``.
+        Each fit and each CV run is one :func:`_timed_round`.  Returns
+        a machine-readable dict; the training benchmark writes it to
+        ``benchmarks/results/training.json``.
         """
         X, y = self.train_matrix()
         stages = n_estimators or self.n_estimators
-        results: dict = {
-            "n_samples": int(X.shape[0]),
-            "n_features": int(X.shape[1]),
-            "n_estimators": stages,
-            "methods": {},
-        }
-
-        reference_proba: np.ndarray | None = None
-        exact_seconds: float | None = None
-        for method in ("exact", "presort", "histogram"):
-            clf = GradientBoostingClassifier(
-                n_estimators=stages, random_state=0, subsample=0.9,
-                tree_method=method,
-            )
-            started = time.perf_counter()
-            clf.fit(X, y)
-            elapsed = time.perf_counter() - started
-            proba = clf.predict_proba(X)
-            if method == "exact":
-                reference_proba = proba
-                exact_seconds = elapsed
-            entry = clf.fit_stats_.as_dict()
-            entry["fit_seconds"] = elapsed
-            entry["speedup_vs_exact"] = (
-                exact_seconds / elapsed if elapsed else float("inf")
-            )
-            entry["proba_identical_to_exact"] = bool(
-                np.array_equal(proba, reference_proba)
-            )
-            results["methods"][method] = entry
-
-        factory = _FoldDetectorFactory(
-            feature_set="fall", threshold=self.threshold,
-            n_estimators=stages, tree_method="presort",
+        clf = GradientBoostingClassifier(
+            n_estimators=stages, random_state=0, subsample=0.9
         )
-        started = time.perf_counter()
-        serial = cross_validate_scores(
-            factory, X, y, n_splits=cv_splits,
-            random_state=self.config.seed,
+        fit_seconds, _ = _timed_round(lambda: clf.fit(X, y))
+        fit = clf.fit_stats_.as_dict()
+        fit["fit_seconds"] = fit_seconds
+
+        factory = partial(
+            PhishingDetector,
+            feature_set="fall",
+            threshold=self.threshold,
+            n_estimators=stages,
         )
-        serial_seconds = time.perf_counter() - started
-        with WorkerPool(workers=cv_workers, backend=cv_backend) as pool:
-            started = time.perf_counter()
-            parallel = cross_validate_scores(
+
+        def run_cv(pool: WorkerPool | None = None):
+            return cross_validate_scores(
                 factory, X, y, n_splits=cv_splits,
                 random_state=self.config.seed, pool=pool,
             )
-            parallel_seconds = time.perf_counter() - started
-        results["cross_validation"] = {
-            "n_splits": cv_splits,
-            "workers": cv_workers,
-            "backend": cv_backend,
-            "serial_seconds": serial_seconds,
-            "parallel_seconds": parallel_seconds,
-            "speedup": (
-                serial_seconds / parallel_seconds
-                if parallel_seconds else float("inf")
-            ),
-            "scores_identical": bool(
-                np.array_equal(serial[0], parallel[0])
-                and np.array_equal(serial[1], parallel[1])
-            ),
+
+        serial_seconds, serial = _timed_round(run_cv)
+        with WorkerPool(workers=cv_workers, backend=cv_backend) as pool:
+            parallel_seconds, parallel = _timed_round(lambda: run_cv(pool))
+        return {
+            "n_samples": int(X.shape[0]),
+            "n_features": int(X.shape[1]),
+            "n_estimators": stages,
+            "fit": fit,
+            "cross_validation": {
+                "n_splits": cv_splits,
+                "workers": cv_workers,
+                "backend": cv_backend,
+                "serial_seconds": serial_seconds,
+                "parallel_seconds": parallel_seconds,
+                "speedup": (
+                    serial_seconds / parallel_seconds
+                    if parallel_seconds else float("inf")
+                ),
+                "scores_identical": bool(
+                    np.array_equal(serial[0], parallel[0])
+                    and np.array_equal(serial[1], parallel[1])
+                ),
+            },
         }
-        return results
 
     def robustness_search_outage(self, count: int = 30) -> dict:
         """Graceful degradation with the search engine forced down.

@@ -68,21 +68,28 @@ class HtmlNode:
 
     # ---- text extraction ----------------------------------------------
     def text(self, separator: str = " ") -> str:
-        """Rendered text of the subtree, skipping non-rendered elements."""
-        fragments: list[str] = []
-        self._collect_text(fragments)
-        return separator.join(fragments)
+        """Rendered text of the subtree, skipping non-rendered elements.
 
-    def _collect_text(self, fragments: list[str]) -> None:
+        Walks in document order over an explicit stack of child
+        iterators, so a phisher's page nested thousands of elements deep
+        reads like any other instead of exhausting the recursion limit.
+        """
         if self.tag in NON_RENDERED:
-            return
-        for child in self.children:
-            if isinstance(child, str):
-                stripped = child.strip()
-                if stripped:
-                    fragments.append(stripped)
+            return ""
+        fragments: list[str] = []
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, str):
+                    stripped = child.strip()
+                    if stripped:
+                        fragments.append(stripped)
+                elif child.tag not in NON_RENDERED:
+                    stack.append(iter(child.children))
+                    break
             else:
-                child._collect_text(fragments)
+                stack.pop()
+        return separator.join(fragments)
 
 
 def _attributes(attrs) -> dict[str, str]:

@@ -7,10 +7,8 @@ with binomial deviance loss, plus the evaluation metrics (precision,
 recall, F1, FPR, ROC/AUC, precision-recall curves) and stratified
 cross-validation used throughout Section VI.
 
-Training is served by three split-finding strategies (see
-:mod:`repro.ml.tree`): the seed ``exact`` greedy path, the bit-identical
-shared-``presort`` path (the default), and the opt-in approximate
-``histogram`` path built on :mod:`repro.ml.histogram`.  Fits expose
+Trees search their splits over one presort of the feature matrix per
+ensemble fit (see :mod:`repro.ml.tree`).  Fits expose
 :class:`~repro.ml.instrumentation.TrainingStats`, and cross-validation
 can fan folds out over a :class:`repro.parallel.executor.WorkerPool`
 with results identical to the serial run.
@@ -18,7 +16,6 @@ with results identical to the serial run.
 
 from repro.ml.boosting import PAPER_THRESHOLD, GradientBoostingClassifier
 from repro.ml.compiled import CompiledEnsemble
-from repro.ml.histogram import BinnedMatrix, bin_matrix
 from repro.ml.instrumentation import TrainingStats
 from repro.ml.metrics import (
     BinaryMetrics,
@@ -39,14 +36,12 @@ from repro.ml.validation import (
 
 __all__ = [
     "BinaryMetrics",
-    "BinnedMatrix",
     "CompiledEnsemble",
     "GradientBoostingClassifier",
     "PAPER_THRESHOLD",
     "RegressionTree",
     "TrainingStats",
     "auc",
-    "bin_matrix",
     "binary_metrics",
     "confusion_counts",
     "cross_validate",

@@ -16,19 +16,15 @@ detector (Section IV-C):
 ``predict_proba`` returns the confidence values in ``[0, 1]`` that the
 paper thresholds at 0.7 to favour predicting the legitimate class.
 
-Training performance: the ensemble trains its trees through one of
-three split-finding strategies (``tree_method``).  The default
-``"presort"`` computes **one global stable argsort of the feature
-matrix per fit** and propagates it to every node of every stage by
-partition-stable selection — feature order never changes between
-boosting stages, only the targets do — producing trees bit-identical to
-the reference ``"exact"`` path without ever re-sorting.  The opt-in
-``"histogram"`` mode quantises features once per fit into at most
-``max_bins`` quantile bins (approximate; for large corpora).  Stage
-subsamples are drawn and then sorted ascending: the sample *set* is
-unchanged, and the canonical order is what lets the presorted and exact
-paths agree bit-for-bit.  Each ``fit`` records timing and split-search
-counters in ``fit_stats_``
+Training performance: each fit computes **one global stable argsort
+of the feature matrix** (:func:`repro.ml.tree.presort_matrix`) and
+every tree of every stage searches its splits over it — feature order
+never changes between boosting stages, only the targets do — so no
+node ever sorts (see :mod:`repro.ml.tree`).  Stage subsamples are drawn
+and then sorted ascending: the sample *set* is unchanged, and the
+canonical order is what keeps the trees equal, bit for bit, to a
+per-node argsort of every column.  Each ``fit`` records timing and
+split-search counters in ``fit_stats_``
 (:class:`repro.ml.instrumentation.TrainingStats`).
 """
 
@@ -40,13 +36,13 @@ import numpy as np
 
 from repro.ml.compiled import CompiledEnsemble
 from repro.ml.compiled import sigmoid as _sigmoid
-from repro.ml.histogram import bin_matrix
 from repro.ml.instrumentation import TrainingStats
 from repro.ml.tree import RegressionTree, presort_matrix, restrict_presort
 from repro.obs.trace import AnyTracer, Tracer
 
-#: Split-finding strategies accepted by :class:`GradientBoostingClassifier`.
-TREE_METHODS = ("exact", "presort", "histogram")
+#: Hyperparameters that ``to_dict`` wrote for split-search options
+#: since removed; ``from_dict`` drops them so saved models still load.
+_RETIRED_HYPERPARAMETERS = ("tree_method", "max_bins")
 
 #: The paper's discrimination threshold (Section VI-A): confidences in
 #: ``[0, 0.7)`` predict legitimate, ``[0.7, 1]`` predict phishing,
@@ -76,14 +72,6 @@ class GradientBoostingClassifier:
         Features examined per split; ``None`` means all.
     random_state:
         Seed for subsampling and feature subsampling.
-    tree_method:
-        Split-finding strategy: ``"presort"`` (default; one global
-        argsort per fit, bit-identical to ``"exact"``), ``"exact"``
-        (per-node argsort, the reference), or ``"histogram"``
-        (quantile-binned, approximate, fastest on large corpora).
-    max_bins:
-        Maximum quantile bins per feature for ``tree_method="histogram"``;
-        ignored by the exact paths.
     """
 
     def __init__(
@@ -95,8 +83,6 @@ class GradientBoostingClassifier:
         min_samples_leaf: int = 1,
         max_features: int | None = None,
         random_state: int | None = None,
-        tree_method: str = "presort",
-        max_bins: int = 64,
     ) -> None:
         if not 0 < subsample <= 1:
             raise ValueError(f"subsample must be in (0, 1], got {subsample}")
@@ -104,11 +90,6 @@ class GradientBoostingClassifier:
             raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
         if learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-        if tree_method not in TREE_METHODS:
-            raise ValueError(
-                f"unknown tree_method {tree_method!r}; "
-                f"expected one of {TREE_METHODS}"
-            )
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -116,8 +97,6 @@ class GradientBoostingClassifier:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self.tree_method = tree_method
-        self.max_bins = max_bins
         self._trees: list[RegressionTree] = []
         self._initial_raw = 0.0
         self._compiled: CompiledEnsemble | None = None
@@ -166,25 +145,16 @@ class GradientBoostingClassifier:
         rec = tracer if isinstance(tracer, Tracer) else Tracer()
         with rec.span(
             "train.fit",
-            tree_method=self.tree_method,
             n_samples=n,
             n_features=int(X.shape[1]),
             n_estimators=self.n_estimators,
         ) as fit_span:
             # One-off preparation, shared by every stage: feature order
             # never changes between stages (only the targets do), so the
-            # presort / binning of X is computed exactly once per fit.
+            # presort of X is computed exactly once per fit.
             with rec.span("train.prep"):
-                sorted_all = sorted_vals_all = None
-                if self.tree_method == "presort":
-                    sorted_all = presort_matrix(X)
-                    sorted_vals_all = X[
-                        sorted_all, np.arange(X.shape[1])[:, None]
-                    ]
-                binned_all = (
-                    bin_matrix(X, self.max_bins)
-                    if self.tree_method == "histogram" else None
-                )
+                sorted_all = presort_matrix(X)
+                sorted_vals_all = X[sorted_all, np.arange(X.shape[1])[:, None]]
 
             for _stage in range(self.n_estimators):
                 with rec.span("train.stage"):
@@ -196,8 +166,8 @@ class GradientBoostingClassifier:
                         # The draw is sorted ascending: the sample set is
                         # unchanged and the canonical order makes the fit
                         # independent of draw order — the invariant that
-                        # lets the presorted path replicate the exact
-                        # path bit-for-bit.
+                        # keeps the presorted trees equal to a per-node
+                        # argsort's, bit for bit.
                         rows = np.sort(
                             rng.choice(n, size=sample_size, replace=False)
                         )
@@ -210,28 +180,19 @@ class GradientBoostingClassifier:
                         max_features=self.max_features,
                         rng=rng,
                     )
-                    if sorted_all is not None:
-                        if len(rows) == n:
-                            tree.fit(
-                                X, residual, sorted_idx=sorted_all,
-                                sorted_vals=sorted_vals_all,
-                            )
-                        else:
-                            sub_sorted, sub_vals = restrict_presort(
-                                sorted_all, rows, n, sorted_vals_all
-                            )
-                            tree.fit(
-                                X[rows], residual[rows],
-                                sorted_idx=sub_sorted, sorted_vals=sub_vals,
-                            )
-                    elif binned_all is not None:
-                        binned = (
-                            binned_all if len(rows) == n
-                            else binned_all.take_rows(rows)
+                    if len(rows) == n:
+                        tree.fit(
+                            X, residual, sorted_idx=sorted_all,
+                            sorted_vals=sorted_vals_all,
                         )
-                        tree.fit(X[rows], residual[rows], binned=binned)
                     else:
-                        tree.fit(X[rows], residual[rows])
+                        sub_sorted, sub_vals = restrict_presort(
+                            sorted_all, rows, n, sorted_vals_all
+                        )
+                        tree.fit(
+                            X[rows], residual[rows],
+                            sorted_idx=sub_sorted, sorted_vals=sub_vals,
+                        )
 
                     # Newton step: replace each leaf mean with the
                     # deviance-optimal value computed from the samples
@@ -384,8 +345,6 @@ class GradientBoostingClassifier:
                 "min_samples_leaf": self.min_samples_leaf,
                 "max_features": self.max_features,
                 "random_state": self.random_state,
-                "tree_method": self.tree_method,
-                "max_bins": self.max_bins,
             },
             "initial_raw": self._initial_raw,
             "n_features": self.n_features_in_,
@@ -403,13 +362,23 @@ class GradientBoostingClassifier:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GradientBoostingClassifier":
-        """Rebuild a fitted ensemble from :meth:`to_dict` output."""
+        """Rebuild a fitted ensemble from :meth:`to_dict` output.
+
+        Payloads written before the split-search options were removed
+        still load: their ``tree_method`` and ``max_bins`` entries are
+        dropped.  Any other unknown hyperparameter is rejected.
+        """
         try:
-            model = cls(**payload["hyperparameters"])
+            hyperparameters = {
+                key: value
+                for key, value in payload["hyperparameters"].items()
+                if key not in _RETIRED_HYPERPARAMETERS
+            }
+            model = cls(**hyperparameters)
             model._initial_raw = float(payload["initial_raw"])
             model.n_features_in_ = int(payload["n_features"])
             trees_payload = payload["trees"]
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed model payload: {exc}") from exc
         model._trees = []
         for tree_payload in trees_payload:

@@ -2,12 +2,11 @@
 
 :class:`TrainingStats` summarises one
 :meth:`repro.ml.boosting.GradientBoostingClassifier.fit`: per-stage wall
-times, the one-off preparation cost (the global presort or the feature
-binning, depending on ``tree_method``), and split-search counters
-aggregated over every tree.  Since the observability layer landed, the
-timings come from the fit's ``train.*`` span tree
-(:meth:`TrainingStats.from_spans`) rather than bespoke timer calls, so
-the same numbers are available to trace exporters and to the
+times, the one-off preparation cost (the global presort), and
+split-search counters aggregated over every tree.  Since the
+observability layer landed, the timings come from the fit's ``train.*``
+span tree (:meth:`TrainingStats.from_spans`) rather than bespoke timer
+calls, so the same numbers are available to trace exporters and to the
 machine-readable training benchmark
 (``benchmarks/test_training_speed.py`` →
 ``benchmarks/results/training.json``) and the ``ext-training`` CLI
@@ -29,14 +28,11 @@ class TrainingStats:
 
     Attributes
     ----------
-    tree_method:
-        Split-finding strategy used (``exact``/``presort``/``histogram``).
     n_samples, n_features:
         Shape of the training matrix.
     prep_seconds:
         One-off preparation paid before the first stage: the global
-        stable argsort (presort) or the quantile binning (histogram);
-        0.0 for the exact path.
+        stable argsort of every feature and its gathered values.
     stage_seconds:
         Wall time of each boosting stage (tree fit + Newton step +
         raw-score update).
@@ -44,10 +40,9 @@ class TrainingStats:
         Total tree nodes created across all stages.
     split_evaluations:
         Candidate ``(node, feature)`` pairs scored across all stages —
-        the unit of split-search work all three methods share.
+        the unit of split-search work.
     """
 
-    tree_method: str
     n_samples: int = 0
     n_features: int = 0
     prep_seconds: float = 0.0
@@ -66,11 +61,10 @@ class TrainingStats:
 
         ``fit_span`` is the root span recorded by
         :meth:`~repro.ml.boosting.GradientBoostingClassifier.fit`
-        (attrs carry the matrix shape and tree method; children are one
+        (attrs carry the matrix shape; children are one
         ``train.prep`` plus one ``train.stage`` per boosting stage).
         """
         stats = cls(
-            tree_method=str(fit_span.attrs.get("tree_method", "")),
             n_samples=int(fit_span.attrs.get("n_samples", 0)),
             n_features=int(fit_span.attrs.get("n_features", 0)),
             nodes_built=nodes_built,
@@ -103,7 +97,6 @@ class TrainingStats:
         """Machine-readable summary for benchmark artifacts."""
         stage = np.asarray(self.stage_seconds, dtype=np.float64)
         return {
-            "tree_method": self.tree_method,
             "n_samples": self.n_samples,
             "n_features": self.n_features,
             "n_stages": self.n_stages,

@@ -1,44 +1,28 @@
 """Regression trees — the base learners of gradient boosting.
 
 A CART-style regression tree fit by exact greedy variance-reduction
-splits, with three split-finding strategies sharing one split-scoring
-formula:
+splits.  Split search runs over a **presort**: one global stable
+argsort per feature (:func:`presort_matrix`, computed once per ensemble
+fit and reused by every stage) that the tree propagates to child nodes
+by *partition-stable selection*: restricting a stable sort to a subset
+yields exactly the stable sort of that subset, so no node ever sorts
+again.  Split search is vectorised across all candidate features at
+once, at ``O(features * n)`` per node.
 
-``exact`` (the reference)
-    At each node every candidate feature column is argsorted and the
-    best threshold found from prefix sums of the targets — per-node cost
-    ``O(features * n log n)``.  This is the seed implementation and the
-    baseline every faster path is measured against.
+The result equals what argsorting every candidate column at every node
+would give, bit for bit — that per-node builder is kept in the test
+suite as the oracle the presorted trees are compared against.
 
-``presort`` (exact results, no per-node sorting)
-    The caller passes one **global stable argsort per feature**
-    (``presort_matrix``, computed once per ensemble fit) and the tree
-    propagates the sorted orders to child nodes by *partition-stable
-    selection*: restricting a stable sort to a subset yields exactly the
-    stable sort of that subset, so no node ever sorts again.  Split
-    search is additionally vectorised across all candidate features at
-    once.  Per-node cost drops to ``O(features * n)`` and the fitted
-    tree is **bit-identical** to the exact path (see the ordering
-    invariant below).
-
-``histogram`` (approximate, opt-in)
-    Features are quantised once per ensemble fit into at most
-    ``max_bins`` quantile bins (:mod:`repro.ml.histogram`); split search
-    becomes a bincount plus prefix scan per feature.  Candidate
-    thresholds are restricted to bin edges, so results may differ from
-    the exact path — this mode is for corpora where even the presorted
-    path is too slow.
-
-Ordering invariant (what makes presort bit-identical): node sample
-index arrays are kept in **ascending order** everywhere — the root is
+Ordering invariant (what makes the presort exact): node sample index
+arrays are kept in **ascending order** everywhere — the root is
 ``arange(n)`` and children are the ascending subset of their parent.
 With that canonical order, a stable argsort of a node's column breaks
 ties by ascending global index, which is precisely the order obtained
 by filtering the global stable argsort down to the node's samples.
 Every downstream float computation (prefix sums, node means, the
 boosting Newton step) therefore consumes its inputs in the same order
-under both strategies, making not just the splits but every stored
-float bit-identical.
+as a per-node sort would, making not just the splits but every stored
+float identical.
 
 Only the pieces gradient boosting needs are implemented: squared-error
 fitting, optional feature subsampling, externally adjustable leaf values
@@ -48,8 +32,6 @@ fitting, optional feature subsampling, externally adjustable leaf values
 from __future__ import annotations
 
 import numpy as np
-
-from repro.ml.histogram import BinnedMatrix
 
 _LEAF = -1  # sentinel feature index marking a leaf node
 
@@ -172,22 +154,16 @@ class RegressionTree:
         X: np.ndarray,
         y: np.ndarray,
         sorted_idx: np.ndarray | None = None,
-        binned: BinnedMatrix | None = None,
         sorted_vals: np.ndarray | None = None,
     ) -> "RegressionTree":
         """Fit the tree to ``(X, y)`` minimising squared error.
 
-        With no extra argument the exact per-node argsort path runs.
-        Passing ``sorted_idx`` (from :func:`presort_matrix`) selects the
-        presorted path — bit-identical results, no per-node sorting;
-        ``sorted_vals`` optionally supplies the matching pre-gathered
-        value matrix ``X[sorted_idx, arange(F)[:, None]]`` (the ensemble
-        reuses one across stages when no subsampling reshuffles rows).
-        Passing ``binned`` (from :func:`repro.ml.histogram.bin_matrix`)
-        selects the approximate histogram path.
+        ``sorted_idx`` is the presort of ``X`` (:func:`presort_matrix`);
+        without one the tree computes it.  ``sorted_vals`` optionally
+        supplies the matching pre-gathered value matrix
+        ``X[sorted_idx, arange(F)[:, None]]`` (the ensemble reuses one
+        across stages when no subsampling reshuffles rows).
         """
-        if sorted_idx is not None and binned is not None:
-            raise ValueError("pass at most one of sorted_idx and binned")
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2:
@@ -196,7 +172,9 @@ class RegressionTree:
             raise ValueError(f"X and y disagree: {len(X)} vs {len(y)}")
         if len(X) == 0:
             raise ValueError("cannot fit a tree on an empty dataset")
-        if sorted_idx is not None and sorted_idx.shape != (X.shape[1], len(X)):
+        if sorted_idx is None:
+            sorted_idx = presort_matrix(X)
+        elif sorted_idx.shape != (X.shape[1], len(X)):
             raise ValueError(
                 f"sorted_idx must have shape {(X.shape[1], len(X))}, "
                 f"got {sorted_idx.shape}"
@@ -210,20 +188,14 @@ class RegressionTree:
         self._leaf_samples: dict[int, np.ndarray] = {}
         self.split_evaluations_ = 0
 
-        if sorted_idx is not None:
-            # Gather the value and target matrices once per fit; the
-            # recursion partitions them instead of re-gathering per node.
-            if sorted_vals is None:
-                sorted_vals = X[sorted_idx, np.arange(X.shape[1])[:, None]]
-            sorted_y = y[sorted_idx]
-            self._build_presorted(
-                X, y, sorted_idx, sorted_vals, sorted_y,
-                np.arange(len(X)), depth=0,
-            )
-        elif binned is not None:
-            self._build_histogram(X, y, binned, np.arange(len(X)), depth=0)
-        else:
-            self._build_exact(X, y, np.arange(len(X)), depth=0)
+        # Gather the value and target matrices once per fit; the
+        # recursion partitions them instead of re-gathering per node.
+        if sorted_vals is None:
+            sorted_vals = X[sorted_idx, np.arange(X.shape[1])[:, None]]
+        self._build_presorted(
+            X, y, sorted_idx, sorted_vals, y[sorted_idx],
+            np.arange(len(X)), depth=0,
+        )
 
         self.feature = np.asarray(self._features, dtype=np.int64)
         self.threshold = np.asarray(self._thresholds, dtype=np.float64)
@@ -238,7 +210,7 @@ class RegressionTree:
         return self
 
     # ------------------------------------------------------------------
-    # shared node plumbing
+    # node plumbing
     # ------------------------------------------------------------------
     def _open_node(self, y: np.ndarray, indices: np.ndarray) -> int:
         """Append a provisional leaf for ``indices`` and return its id."""
@@ -262,83 +234,7 @@ class RegressionTree:
         return self._rng.choice(n_features, size=self.max_features, replace=False)
 
     # ------------------------------------------------------------------
-    # exact path (the seed reference)
-    # ------------------------------------------------------------------
-    def _build_exact(
-        self, X: np.ndarray, y: np.ndarray, indices: np.ndarray, depth: int
-    ) -> int:
-        node_id = self._open_node(y, indices)
-        if not self._splittable(indices, depth):
-            self._leaf_samples[node_id] = indices
-            return node_id
-        split = self._best_split(X, y, indices)
-        if split is None:
-            self._leaf_samples[node_id] = indices
-            return node_id
-        feat, thresh, left_idx, right_idx = split
-        self._features[node_id] = feat
-        self._thresholds[node_id] = thresh
-        self._lefts[node_id] = self._build_exact(X, y, left_idx, depth + 1)
-        self._rights[node_id] = self._build_exact(X, y, right_idx, depth + 1)
-        return node_id
-
-    def _best_split(
-        self, X: np.ndarray, y: np.ndarray, indices: np.ndarray
-    ) -> tuple[int, float, np.ndarray, np.ndarray] | None:
-        """Best (feature, threshold) by variance reduction, or None."""
-        y_node = y[indices]
-        n = len(indices)
-        best_gain = _MIN_GAIN  # require strictly positive gain
-        best = None
-        node_sum = y_node.sum()
-        node_sq = float(y_node @ y_node)
-        parent_sse = node_sq - node_sum * node_sum / n
-
-        candidates = self._candidate_features(X.shape[1])
-        self.split_evaluations_ += len(candidates)
-        for feat in candidates:
-            column = X[indices, feat]
-            order = np.argsort(column, kind="stable")
-            sorted_vals = column[order]
-            sorted_y = y_node[order]
-            # Split positions: between distinct consecutive values only.
-            cumsum = np.cumsum(sorted_y)
-            counts = np.arange(1, n)
-            left_sum = cumsum[:-1]
-            right_sum = node_sum - left_sum
-            left_n = counts
-            right_n = n - counts
-            # SSE(parent) - SSE(children) differs from the expression below
-            # only by constants, so maximising it maximises variance gain.
-            score = left_sum**2 / left_n + right_sum**2 / right_n
-            valid = sorted_vals[1:] != sorted_vals[:-1]
-            if self.min_samples_leaf > 1:
-                valid &= (left_n >= self.min_samples_leaf) & (
-                    right_n >= self.min_samples_leaf
-                )
-            if not valid.any():
-                continue
-            score = np.where(valid, score, -np.inf)
-            pos = int(np.argmax(score))
-            gain = float(score[pos]) - node_sum * node_sum / n
-            if gain > best_gain and parent_sse > 0:
-                threshold = 0.5 * (sorted_vals[pos] + sorted_vals[pos + 1])
-                best_gain = gain
-                best = (int(feat), float(threshold), order, pos)
-
-        if best is None:
-            return None
-        feat, threshold, order, pos = best
-        # Children in ascending sample order — the canonical ordering
-        # that makes tie-breaking (and every downstream float reduction)
-        # independent of the path of split features, and therefore
-        # reproducible by the presorted partition propagation.
-        left_idx = np.sort(indices[order[: pos + 1]])
-        right_idx = np.sort(indices[order[pos + 1:]])
-        return feat, threshold, left_idx, right_idx
-
-    # ------------------------------------------------------------------
-    # presorted path (bit-identical, no per-node sorting)
+    # split search over the presort
     # ------------------------------------------------------------------
     def _build_presorted(
         self,
@@ -422,15 +318,16 @@ class RegressionTree:
         node_vals: np.ndarray,
         node_y: np.ndarray,
         indices: np.ndarray,
-    ) -> tuple[int, float, np.ndarray, np.ndarray] | None:
+    ) -> tuple[int, float, int] | None:
         """Presorted split search, vectorised across candidate features.
 
         Scores every candidate feature's every boundary in one set of
         2-D array operations.  Each row of the intermediate matrices is
-        elementwise identical to the arrays the exact path builds for
-        that feature (same elements, same order, same expressions), and
-        first-maximum ``argmax`` tie-breaking matches the exact path's
-        strict-improvement scan, so the chosen split is bit-identical.
+        elementwise identical to the arrays a per-node argsort of that
+        feature builds (same elements, same order, same expressions),
+        and first-maximum ``argmax`` tie-breaking matches a
+        strict-improvement scan over the features, so the chosen split
+        is the one that argsort would find, bit for bit.
         """
         n = len(indices)
         y_node = y[indices]
@@ -439,8 +336,8 @@ class RegressionTree:
         parent_score = node_sum * node_sum / n
         parent_sse = node_sq - parent_score
 
-        # Candidates are drawn before any early return so the rng
-        # stream matches the exact path draw-for-draw.
+        # Candidates are drawn before any early return, so every
+        # splittable node consumes the rng stream the same way.
         candidates = self._candidate_features(X.shape[1])
         self.split_evaluations_ += len(candidates)
         if n < 2 or not parent_sse > 0:
@@ -453,7 +350,7 @@ class RegressionTree:
         # Prefix sums over the first n-1 positions only (the candidate
         # boundaries) — identical values to cumsum-then-slice, but the
         # result is contiguous and the in-place expressions below reuse
-        # its buffers.  Every arithmetic step matches the exact path's
+        # its buffers.  Every arithmetic step matches
         # ``left_sum**2 / left_n + right_sum**2 / right_n`` bit for bit.
         counts = np.arange(1, n)
         left_n = counts
@@ -482,94 +379,6 @@ class RegressionTree:
             sorted_vals[best_row, best_pos] + sorted_vals[best_row, best_pos + 1]
         )
         return int(candidates[best_row]), float(threshold), best_pos
-
-    # ------------------------------------------------------------------
-    # histogram path (approximate, opt-in)
-    # ------------------------------------------------------------------
-    def _build_histogram(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        binned: BinnedMatrix,
-        indices: np.ndarray,
-        depth: int,
-    ) -> int:
-        node_id = self._open_node(y, indices)
-        if not self._splittable(indices, depth):
-            self._leaf_samples[node_id] = indices
-            return node_id
-        split = self._best_split_histogram(y, binned, indices)
-        if split is None:
-            self._leaf_samples[node_id] = indices
-            return node_id
-        feat, thresh, bin_id = split
-        go_left = binned.codes[indices, feat] <= bin_id
-        left_idx = indices[go_left]
-        right_idx = indices[~go_left]
-        self._features[node_id] = feat
-        self._thresholds[node_id] = thresh
-        self._lefts[node_id] = self._build_histogram(
-            X, y, binned, left_idx, depth + 1
-        )
-        self._rights[node_id] = self._build_histogram(
-            X, y, binned, right_idx, depth + 1
-        )
-        return node_id
-
-    def _best_split_histogram(
-        self, y: np.ndarray, binned: BinnedMatrix, indices: np.ndarray
-    ) -> tuple[int, float, np.ndarray, np.ndarray] | None:
-        """Histogram split search: bincount + prefix scan per feature.
-
-        Candidate thresholds are the bin edges only, which is what makes
-        this path approximate; the gain formula and acceptance rule are
-        shared with the exact paths.
-        """
-        n = len(indices)
-        width = binned.width
-        if n < 2 or width < 2:
-            return None
-        y_node = y[indices]
-        node_sum = y_node.sum()
-        node_sq = float(y_node @ y_node)
-        parent_score = node_sum * node_sum / n
-        parent_sse = node_sq - parent_score
-        if not parent_sse > 0:
-            return None
-
-        candidates = self._candidate_features(binned.codes.shape[1])
-        self.split_evaluations_ += len(candidates)
-        codes = binned.codes[indices][:, candidates]      # (n, C)
-        n_cand = len(candidates)
-        flat = (codes + np.arange(n_cand, dtype=np.int32) * width).ravel()
-        sums = np.bincount(
-            flat, weights=np.repeat(y_node, n_cand), minlength=n_cand * width
-        ).reshape(n_cand, width)
-        cnts = np.bincount(flat, minlength=n_cand * width).reshape(
-            n_cand, width
-        )
-        left_sum = np.cumsum(sums, axis=1)[:, :-1]        # split after bin b
-        left_n = np.cumsum(cnts, axis=1)[:, :-1]
-        right_sum = node_sum - left_sum
-        right_n = n - left_n
-        n_cuts = np.array([len(binned.cuts[f]) for f in candidates])
-        min_leaf = self.min_samples_leaf
-        valid = (
-            (np.arange(width - 1) < n_cuts[:, None])
-            & (left_n >= min_leaf)
-            & (right_n >= min_leaf)
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = left_sum**2 / left_n + right_sum**2 / right_n
-        score = np.where(valid, raw, -np.inf)
-        pos = np.argmax(score, axis=1)
-        gains = score[np.arange(n_cand), pos] - parent_score
-        best_row = int(np.argmax(gains))
-        if not gains[best_row] > _MIN_GAIN:
-            return None
-        feat = int(candidates[best_row])
-        bin_id = int(pos[best_row])
-        return feat, float(binned.cuts[feat][bin_id]), bin_id
 
     # ------------------------------------------------------------------
     def apply(self, X: np.ndarray) -> np.ndarray:

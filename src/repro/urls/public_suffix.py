@@ -22,43 +22,23 @@ from functools import lru_cache
 from repro.urls.suffix_data import iter_snapshot_rules
 
 
-class _Rule:
-    """A single parsed PSL rule."""
-
-    __slots__ = ("labels", "is_exception", "is_wildcard")
-
-    def __init__(self, raw: str):
-        self.is_exception = raw.startswith("!")
-        if self.is_exception:
-            raw = raw[1:]
-        self.labels = tuple(raw.lower().split("."))
-        self.is_wildcard = "*" in self.labels
-
-    def matches(self, domain_labels: tuple[str, ...]) -> bool:
-        """Return True when this rule matches the given domain labels."""
-        if len(self.labels) > len(domain_labels):
-            return False
-        for rule_label, domain_label in zip(
-            reversed(self.labels), reversed(domain_labels)
-        ):
-            if rule_label != "*" and rule_label != domain_label:
-                return False
-        return True
-
-    def suffix_length(self) -> int:
-        """Number of labels in the public suffix this rule defines."""
-        if self.is_exception:
-            return len(self.labels) - 1
-        return len(self.labels)
-
-
 class PublicSuffixList:
     """A queryable set of public-suffix rules.
+
+    Rules are held as sets of label tuples, exception rules apart from
+    normal ones, so finding the prevailing rule is one set lookup per
+    suffix of the host rather than a scan over rules.  A wildcard may
+    only be a rule's left-most label, as publicsuffix.org specifies.
 
     Parameters
     ----------
     rules:
         Iterable of raw rule strings.  Defaults to the bundled snapshot.
+
+    Raises
+    ------
+    ValueError
+        When a rule has a ``*`` label other than its left-most one.
 
     Examples
     --------
@@ -73,25 +53,40 @@ class PublicSuffixList:
 
     def __init__(self, rules=None):
         raw_rules = list(rules) if rules is not None else list(iter_snapshot_rules())
-        self._rules: list[_Rule] = [_Rule(raw) for raw in raw_rules]
-        # Bucket rules by their right-most concrete label for fast lookup.
-        self._by_tld: dict[str, list[_Rule]] = {}
-        for rule in self._rules:
-            tld = rule.labels[-1]
-            self._by_tld.setdefault(tld, []).append(rule)
+        self._size = len(raw_rules)
+        self._exceptions: set[tuple[str, ...]] = set()
+        self._normal: set[tuple[str, ...]] = set()
+        for raw in raw_rules:
+            is_exception = raw.startswith("!")
+            if is_exception:
+                raw = raw[1:]
+            labels = tuple(raw.lower().split("."))
+            if "*" in labels[1:]:
+                raise ValueError(
+                    f"wildcard must be the left-most label: {raw!r}"
+                )
+            (self._exceptions if is_exception else self._normal).add(labels)
 
     def __len__(self) -> int:
-        return len(self._rules)
+        return self._size
 
-    def _prevailing_rule(self, domain_labels: tuple[str, ...]) -> _Rule | None:
-        candidates = self._by_tld.get(domain_labels[-1], ())
-        matching = [rule for rule in candidates if rule.matches(domain_labels)]
-        if not matching:
-            return None
-        exceptions = [rule for rule in matching if rule.is_exception]
-        if exceptions:
-            return max(exceptions, key=lambda rule: len(rule.labels))
-        return max(matching, key=lambda rule: len(rule.labels))
+    def _suffix_length(self, labels: tuple[str, ...]) -> int:
+        """Labels in the public suffix of ``labels`` (non-empty).
+
+        An exception rule prevails over every normal rule, and among
+        rules of one kind the longest match prevails; an exception's
+        suffix drops its left-most label.  With no match, the implicit
+        ``*`` rule makes the last label the suffix.
+        """
+        exception = _longest_match(self._exceptions, labels)
+        if exception:
+            return exception - 1
+        return _longest_match(self._normal, labels) or 1
+
+    def _split_labels(self, fqdn: str) -> tuple[tuple[str, ...], int]:
+        """``(labels, public suffix length)`` of ``fqdn``, normalised once."""
+        labels = _normalize(fqdn)
+        return labels, (self._suffix_length(labels) if labels else 0)
 
     def public_suffix(self, fqdn: str) -> str:
         """Return the public suffix of ``fqdn``.
@@ -99,13 +94,8 @@ class PublicSuffixList:
         Falls back to the last label when no rule matches (the ``*``
         implicit rule of the specification).
         """
-        labels = _normalize(fqdn)
-        if not labels:
-            return ""
-        rule = self._prevailing_rule(labels)
-        length = rule.suffix_length() if rule is not None else 1
-        length = min(length, len(labels))
-        return ".".join(labels[len(labels) - length:])
+        labels, suffix_len = self._split_labels(fqdn)
+        return ".".join(labels[len(labels) - suffix_len:])
 
     def registered_domain(self, fqdn: str) -> str | None:
         """Return the RDN of ``fqdn`` (public suffix plus one label).
@@ -113,19 +103,15 @@ class PublicSuffixList:
         Returns ``None`` when the whole FQDN is itself a public suffix,
         i.e. there is no registrable label to the left of the suffix.
         """
-        labels = _normalize(fqdn)
-        if not labels:
-            return None
-        suffix = self.public_suffix(fqdn)
-        suffix_len = len(suffix.split(".")) if suffix else 0
+        labels, suffix_len = self._split_labels(fqdn)
         if suffix_len >= len(labels):
             return None
         return ".".join(labels[len(labels) - suffix_len - 1:])
 
     def is_public_suffix(self, fqdn: str) -> bool:
         """True when ``fqdn`` exactly equals a public suffix."""
-        labels = _normalize(fqdn)
-        return bool(labels) and ".".join(labels) == self.public_suffix(fqdn)
+        labels, suffix_len = self._split_labels(fqdn)
+        return bool(labels) and suffix_len == len(labels)
 
     def split(self, fqdn: str) -> tuple[str, str, str]:
         """Split ``fqdn`` into ``(subdomains, mld, public_suffix)``.
@@ -133,17 +119,25 @@ class PublicSuffixList:
         ``subdomains`` and either remaining part may be empty strings when
         the corresponding component is absent.
         """
-        labels = _normalize(fqdn)
-        if not labels:
-            return "", "", ""
-        suffix = self.public_suffix(fqdn)
-        suffix_len = len(suffix.split(".")) if suffix else 0
-        remainder = labels[: len(labels) - suffix_len]
-        if not remainder:
+        labels, suffix_len = self._split_labels(fqdn)
+        boundary = len(labels) - suffix_len
+        suffix = ".".join(labels[boundary:])
+        if boundary == 0:
             return "", "", suffix
-        mld = remainder[-1]
-        subdomains = ".".join(remainder[:-1])
-        return subdomains, mld, suffix
+        return ".".join(labels[:boundary - 1]), labels[boundary - 1], suffix
+
+
+def _longest_match(rules: set[tuple[str, ...]], labels: tuple[str, ...]) -> int:
+    """Label count of the longest rule in ``rules`` matching ``labels``.
+
+    Each suffix of ``labels`` is looked up, longest first, as itself and
+    with its left-most label as the wildcard; 0 when none matches.
+    """
+    for start in range(len(labels)):
+        tail = labels[start:]
+        if tail in rules or ("*",) + tail[1:] in rules:
+            return len(tail)
+    return 0
 
 
 def _normalize(fqdn: str) -> tuple[str, ...]:

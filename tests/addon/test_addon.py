@@ -10,6 +10,8 @@ from repro.core.features import FeatureExtractor
 from repro.core.pipeline import KnowYourPhish, PageVerdict
 from repro.core.target import TargetIdentifier
 from repro.parallel.cache import TtlCache
+from repro.web.browser import Browser
+from repro.web.hosting import SyntheticWeb
 from repro.web.ocr import SimulatedOcr
 
 
@@ -59,6 +61,19 @@ class TestNavigation:
         assert result.allowed
         assert result.verdict is None
         assert addon.stats.navigation_failures >= 1
+
+    def test_deeply_nested_page_gets_a_verdict(self, addon):
+        web = SyntheticWeb()
+        url = "http://deep.example.com/login"
+        web.host(url, (
+            "<html><body>" + "<div>" * 5000
+            + "<a href='/account'>sign in</a>" + "</div>" * 5000
+            + "</body></html>"
+        ))
+        result = PhishingPreventionAddon(
+            addon.pipeline, Browser(web)
+        ).navigate(url)
+        assert result.verdict is not None
 
     def test_trusted_domain_skips_analysis(self, addon, tiny_world):
         page = tiny_world.dataset("phishTest")[3]

@@ -7,7 +7,7 @@ feature matrix, the boosting reference loop).  This suite is the lock on
 that contract: every cell the batch path produces must equal the serial
 per-page path **bit for bit** (``np.array_equal`` on float64, not
 ``allclose``), and compiled ensemble scores must equal the per-row tree
-loop the same way, across all three ``tree_method`` strategies.
+loop the same way.
 
 Hypothesis drives the page generator through the shapes that historically
 break columnar rewrites: empty pages, pages with no login form, unicode
@@ -31,7 +31,7 @@ from repro.core.features.extractor import (
     FeatureExtractor,
     _GROUP_SLICES,
 )
-from repro.ml.boosting import TREE_METHODS, GradientBoostingClassifier
+from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.compiled import sigmoid
 from repro.text.terms import extract_terms
 from repro.urls.alexa import AlexaRanking
@@ -243,21 +243,18 @@ class TestCacheInteraction:
 # ---------------------------------------------------------------------------
 
 
-def _fitted(tree_method, seed=0, n=120, d=9):
+def _fitted(seed=0, n=120, d=9):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(float)
-    model = GradientBoostingClassifier(
-        n_estimators=12, max_depth=3, tree_method=tree_method
-    )
+    model = GradientBoostingClassifier(n_estimators=12, max_depth=3)
     model.fit(X, y)
     return model, rng.normal(size=(40, d)) * 3.0
 
 
 class TestCompiledVsPerRow:
-    @pytest.mark.parametrize("tree_method", TREE_METHODS)
-    def test_predict_proba_bit_identical(self, tree_method):
-        model, X = _fitted(tree_method)
+    def test_predict_proba_bit_identical(self):
+        model, X = _fitted()
         reference = np.array([
             sigmoid(model.decision_function_trees(row[None, :]))[0]
             for row in X
@@ -266,16 +263,15 @@ class TestCompiledVsPerRow:
         assert compiled.dtype == reference.dtype == np.float64
         assert np.array_equal(compiled, reference)
 
-    @pytest.mark.parametrize("tree_method", TREE_METHODS)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=8, deadline=None)
-    def test_random_models_bit_identical(self, tree_method, seed):
-        model, X = _fitted(tree_method, seed=seed, n=60, d=4)
+    def test_random_models_bit_identical(self, seed):
+        model, X = _fitted(seed=seed, n=60, d=4)
         reference = sigmoid(model.decision_function_trees(X))
         assert np.array_equal(model.compiled().predict_proba(X), reference)
 
     def test_batch_rows_equal_single_row_calls(self):
-        model, X = _fitted("presort")
+        model, X = _fitted()
         batch = model.compiled().predict_proba(X)
         rows = np.array([
             model.compiled().predict_proba(row[None, :])[0] for row in X
@@ -294,7 +290,7 @@ class TestCompiledPickle:
     def test_pickle_round_trip_preserves_predictions(self, seed):
         import pickle
 
-        model, X = _fitted("presort", seed=seed, n=60, d=4)
+        model, X = _fitted(seed=seed, n=60, d=4)
         compiled = model.compiled()
         clone = pickle.loads(pickle.dumps(compiled))
         for attr in ("feature", "threshold", "left", "right", "value"):

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.html.dom import HtmlNode, parse_html
+from repro.html.dom import NON_RENDERED, HtmlNode, parse_html
 
 
 class TestParsing:
@@ -71,9 +71,23 @@ def _recursive_pre_order(node):
             yield from _recursive_pre_order(child)
 
 
+def _recursive_text(node, fragments):
+    """The recursive walk ``text`` had before; kept as the reference."""
+    if node.tag in NON_RENDERED:
+        return fragments
+    for child in node.children:
+        if isinstance(child, str):
+            stripped = child.strip()
+            if stripped:
+                fragments.append(stripped)
+        else:
+            _recursive_text(child, fragments)
+    return fragments
+
+
 #: Markup fragments that nest, leave elements unclosed, close tags that
-#: were never opened, mix void and self-closed elements and interleave
-#: text, joined in random order.
+#: were never opened, mix void and self-closed elements, open
+#: non-rendered elements and interleave text, joined in random order.
 _MARKUP = st.lists(
     st.one_of(
         st.sampled_from([
@@ -81,7 +95,8 @@ _MARKUP = st.lists(
             "</i>", "<img src=x>", "<br/>", "<ul><li>", "</li>", "</ul>",
             "<table><tr><td>", "</table>", "<title>t</title>", "<body>",
             "</html>", "<script>x<y</script>", "<a href='/x'>", "</a>",
-            "<!-- c -->", "<p/>", "<input>", "text", " ",
+            "<!-- c -->", "<p/>", "<input>", "text", " ", "<head>",
+            "</head>", "<style>p{}</style>", "<noscript>", "</noscript>",
         ]),
         st.text(max_size=6),
     ),
@@ -113,6 +128,13 @@ class TestTraversal:
         assert list(root.iter_nodes()) == list(_recursive_pre_order(root))
         for node in root.iter_nodes():
             assert list(node.iter_nodes()) == list(_recursive_pre_order(node))
+
+    @given(_MARKUP)
+    @settings(max_examples=300, deadline=None)
+    def test_text_matches_recursive_walk(self, markup):
+        root = parse_html(markup)
+        for node in root.iter_nodes():
+            assert node.text("|") == "|".join(_recursive_text(node, []))
 
     def test_parent_links(self):
         root = parse_html("<div><p>x</p></div>")

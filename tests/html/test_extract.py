@@ -3,6 +3,7 @@
 import html
 from urllib.parse import urljoin
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +107,17 @@ class TestEdgeCases:
     def test_malformed_html_does_not_raise(self):
         elements = extract_elements("<a href='x<<><p>>bad", base_url="http://x.com")
         assert isinstance(elements.href_links, list)
+
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    def test_deep_nesting_keeps_links_and_text(self, depth):
+        markup = (
+            "<html><body>" + "<div>" * depth
+            + "<a href='/login'>sign in</a>" + "</div>" * depth
+            + "</body></html>"
+        )
+        elements = extract_elements(markup, "http://example.com/")
+        assert elements.href_links == ["http://example.com/login"]
+        assert elements.text == "sign in"
 
     def test_data_uri_dropped(self):
         html = '<img src="data:image/png;base64,AAAA">'

@@ -2,10 +2,11 @@
 
 Two families of guarantees:
 
-* the presorted tree/boosting path is **bit-identical** to the seed
-  exact greedy path (same splits, same stored floats, same
-  ``predict_proba``) across subsampling, feature subsampling and heavy
-  value ties — presort is an execution strategy, not an approximation;
+* the presorted trees and ensembles are **bit-identical** to the
+  per-node argsort oracle (:mod:`tests.ml.exact_tree`: same splits,
+  same stored floats, same ``predict_proba``) across subsampling,
+  feature subsampling and heavy value ties — presort is an execution
+  strategy, not an approximation;
 * fold-parallel cross-validation returns results exactly equal to the
   serial run on the thread and process backends (schedule-independent
   fold seeds + order-preserving pool maps).
@@ -15,12 +16,14 @@ Plus the satellite fixes: the tree's default RNG is a fixed seed and
 """
 
 import inspect
+import json
 
 import numpy as np
 import pytest
 
+from repro.core.detector import PhishingDetector
+from repro.ml import boosting
 from repro.ml.boosting import PAPER_THRESHOLD, GradientBoostingClassifier
-from repro.ml.histogram import bin_matrix
 from repro.ml.tree import (
     DEFAULT_SEED,
     RegressionTree,
@@ -29,6 +32,7 @@ from repro.ml.tree import (
 )
 from repro.ml.validation import cross_validate, cross_validate_scores
 from repro.parallel.executor import WorkerPool
+from tests.ml.exact_tree import ExactRegressionTree
 
 
 def _problem(n=200, n_features=12, ties=False, seed=0):
@@ -103,16 +107,20 @@ class TestPresortedTreeBitIdentity:
     @pytest.mark.parametrize("max_depth", [1, 3, 5])
     def test_tree_identical_to_exact(self, ties, max_depth):
         X, y = _problem(ties=ties)
-        exact = RegressionTree(max_depth=max_depth).fit(X, y)
-        fast = RegressionTree(max_depth=max_depth).fit(
-            X, y, sorted_idx=presort_matrix(X)
-        )
-        assert _trees_identical(exact, fast)
-        assert np.array_equal(exact.predict(X), fast.predict(X))
+        exact = ExactRegressionTree(max_depth=max_depth).fit(X, y)
+        # Handed a presort, or computing its own: the same tree.
+        for fast in (
+            RegressionTree(max_depth=max_depth).fit(
+                X, y, sorted_idx=presort_matrix(X)
+            ),
+            RegressionTree(max_depth=max_depth).fit(X, y),
+        ):
+            assert _trees_identical(exact, fast)
+            assert np.array_equal(exact.predict(X), fast.predict(X))
 
     def test_tree_identical_with_feature_subsampling(self):
         X, y = _problem(ties=True)
-        exact = RegressionTree(max_features=5, rng=3).fit(X, y)
+        exact = ExactRegressionTree(max_features=5, rng=3).fit(X, y)
         fast = RegressionTree(max_features=5, rng=3).fit(
             X, y, sorted_idx=presort_matrix(X)
         )
@@ -120,20 +128,12 @@ class TestPresortedTreeBitIdentity:
 
     def test_leaf_bookkeeping_identical(self):
         X, y = _problem()
-        exact = RegressionTree().fit(X, y)
+        exact = ExactRegressionTree().fit(X, y)
         fast = RegressionTree().fit(X, y, sorted_idx=presort_matrix(X))
         for leaf in exact.leaf_ids():
             assert np.array_equal(
                 exact.training_samples_in_leaf(leaf),
                 fast.training_samples_in_leaf(leaf),
-            )
-
-    def test_rejects_both_sorted_idx_and_binned(self):
-        X, y = _problem(n=50, n_features=4)
-        with pytest.raises(ValueError):
-            RegressionTree().fit(
-                X, y,
-                sorted_idx=presort_matrix(X), binned=bin_matrix(X),
             )
 
     def test_rejects_wrong_sorted_idx_shape(self):
@@ -145,18 +145,16 @@ class TestPresortedTreeBitIdentity:
 class TestBoostingBitIdentity:
     @pytest.mark.parametrize("subsample", [1.0, 0.7])
     @pytest.mark.parametrize("max_features", [None, 5])
-    def test_presort_equals_exact(self, subsample, max_features):
+    def test_presort_equals_exact(self, subsample, max_features, monkeypatch):
         X, y = _problem(ties=True)
         kwargs = dict(
             n_estimators=10, random_state=0,
             subsample=subsample, max_features=max_features,
         )
-        exact = GradientBoostingClassifier(
-            tree_method="exact", **kwargs
-        ).fit(X, y)
-        fast = GradientBoostingClassifier(
-            tree_method="presort", **kwargs
-        ).fit(X, y)
+        fast = GradientBoostingClassifier(**kwargs).fit(X, y)
+        monkeypatch.setattr(boosting, "RegressionTree", ExactRegressionTree)
+        exact = GradientBoostingClassifier(**kwargs).fit(X, y)
+        assert all(isinstance(t, ExactRegressionTree) for t in exact._trees)
         assert np.array_equal(
             exact.predict_proba(X), fast.predict_proba(X)
         )
@@ -164,27 +162,10 @@ class TestBoostingBitIdentity:
         for tree_a, tree_b in zip(exact._trees, fast._trees):
             assert _trees_identical(tree_a, tree_b)
 
-    def test_histogram_is_approximate_but_learns(self):
-        X, y = _problem(n=400)
-        exact = GradientBoostingClassifier(
-            n_estimators=15, random_state=0, tree_method="exact"
-        ).fit(X, y)
-        hist = GradientBoostingClassifier(
-            n_estimators=15, random_state=0, tree_method="histogram"
-        ).fit(X, y)
-        # Same final deviance ballpark: the approximation must not cost
-        # meaningful accuracy on an easy problem.
-        assert hist.train_deviance_[-1] < exact.train_deviance_[-1] * 1.5
-        assert hist.fit_stats_.tree_method == "histogram"
-
-    def test_rejects_unknown_tree_method(self):
-        with pytest.raises(ValueError):
-            GradientBoostingClassifier(tree_method="sorted")
-
     def test_fit_stats_populated(self):
         X, y = _problem(n=120, n_features=6)
         clf = GradientBoostingClassifier(
-            n_estimators=7, random_state=0, tree_method="presort"
+            n_estimators=7, random_state=0
         ).fit(X, y)
         stats = clf.fit_stats_
         assert stats.n_stages == 7
@@ -192,20 +173,32 @@ class TestBoostingBitIdentity:
         assert stats.nodes_built == sum(t.n_nodes for t in clf._trees)
         assert stats.split_evaluations > 0
         assert stats.total_seconds > 0
-        payload = stats.as_dict()
-        assert payload["tree_method"] == "presort"
-        assert payload["stages_per_sec"] > 0
+        assert stats.as_dict()["stages_per_sec"] > 0
 
-    def test_tree_method_round_trips_through_dict(self):
-        X, y = _problem(n=100, n_features=5)
-        clf = GradientBoostingClassifier(
-            n_estimators=5, random_state=0, tree_method="histogram",
-            max_bins=32,
-        ).fit(X, y)
-        clone = GradientBoostingClassifier.from_dict(clf.to_dict())
-        assert clone.tree_method == "histogram"
-        assert clone.max_bins == 32
-        assert np.array_equal(clone.predict_proba(X), clf.predict_proba(X))
+    def test_payload_with_retired_split_options_loads(self, tmp_path):
+        X, y = _problem(n=100, n_features=212)
+        detector = PhishingDetector(n_estimators=5).fit(X, y)
+        path = tmp_path / "detector.json"
+        detector.save(path)
+        payload = json.loads(path.read_text())
+        hyperparameters = payload["model"]["hyperparameters"]
+        assert not {"tree_method", "max_bins"} & set(hyperparameters)
+        # The keys a saved detector carried while split search was
+        # selectable; loading drops them.
+        hyperparameters.update(tree_method="histogram", max_bins=32)
+        path.write_text(json.dumps(payload))
+        expected = detector.predict_proba(X)
+        model = GradientBoostingClassifier.from_dict(payload["model"])
+        assert np.array_equal(model.predict_proba(X), expected)
+        loaded = PhishingDetector.load(path, extractor=detector.extractor)
+        assert np.array_equal(loaded.predict_proba(X), expected)
+
+    def test_payload_with_unknown_hyperparameter_rejected(self):
+        X, y = _problem(n=60, n_features=4)
+        payload = GradientBoostingClassifier(n_estimators=2).fit(X, y).to_dict()
+        payload["hyperparameters"]["max_leaves"] = 8
+        with pytest.raises(ValueError, match="malformed model payload"):
+            GradientBoostingClassifier.from_dict(payload)
 
 
 class TestDefaultRngDeterminism:
