@@ -35,10 +35,12 @@ def main():
     print(f"  true target: {page.target_mld}")
 
     sources = DataSources(page.snapshot, ocr=ocr)
-    keyterms = KeytermExtractor(ocr=ocr).extract(sources)
+    extractor = KeytermExtractor(ocr=ocr)
+    keyterms = extractor.extract(sources)
     print(f"  boosted prominent terms: {keyterms.boosted_prominent}")
     print(f"  prominent terms:         {keyterms.prominent}")
-    print(f"  ocr prominent terms:     {keyterms.ocr_prominent}")
+    # OCR is the slow step: identification reads it only at step 4.
+    print(f"  ocr prominent terms:     {extractor.ocr_prominent(sources)}")
 
     result = identifier.identify(page.snapshot)
     print(f"  verdict: {result.verdict} (decided at step {result.step})")

@@ -49,6 +49,13 @@ class Keyterms:
 class KeytermExtractor:
     """Extracts the three keyterm lists of Section V-A.
 
+    :meth:`extract` returns the boosted prominent and prominent lists
+    (its ``ocr_prominent`` stays empty); :meth:`ocr_prominent` reads the
+    screenshot and returns the OCR-prominent list.  The split lets
+    target identification read OCR, the slow step, only when it reaches
+    step 4.  The extractor holds no per-call state, so one instance
+    serves many threads.
+
     Parameters
     ----------
     n_terms:
@@ -104,7 +111,11 @@ class KeytermExtractor:
 
     # ------------------------------------------------------------------
     def extract(self, sources: DataSources) -> Keyterms:
-        """Extract all three keyterm lists for one page."""
+        """Extract the boosted prominent and prominent lists for one page.
+
+        The OCR-prominent list is left empty; :meth:`ocr_prominent`
+        computes it.
+        """
         term_sets = self.source_term_sets(sources)
         frequencies = self._visible_frequencies(sources)
 
@@ -130,27 +141,31 @@ class KeytermExtractor:
             if not only_text_links:
                 prominent_candidates.add(term)
 
-        keyterms = Keyterms(
+        return Keyterms(
             boosted_prominent=self._rank(boosted_candidates, frequencies),
             prominent=self._rank(prominent_candidates, frequencies),
         )
 
-        if self.ocr is not None:
-            try:
-                recognised = self.ocr.read(sources.snapshot.screenshot)
-            except OcrFailure:
-                # Graceful degradation: a failed OCR pass simply leaves
-                # the OCR-prominent list empty (identification step 4 is
-                # skipped), exactly as if no OCR engine were configured.
-                sources.degradation_notes.add("ocr_failed")
-                return keyterms
-            image_terms = set(sources.memo.terms(recognised))
-            all_source_terms = set().union(*term_sets.values())
-            ocr_candidates = image_terms & all_source_terms
-            # Image terms may be absent from the visible frequency count
-            # (image-based pages); fall back to counting them once.
-            ocr_frequencies = frequencies.copy()
-            for term in ocr_candidates:
-                ocr_frequencies.setdefault(term, 1)
-            keyterms.ocr_prominent = self._rank(ocr_candidates, ocr_frequencies)
-        return keyterms
+    def ocr_prominent(self, sources: DataSources) -> list[str]:
+        """The OCR-prominent list of one page: read its screenshot.
+
+        Empty without an OCR engine.  An OCR failure degrades
+        gracefully to the same empty list, noted as ``"ocr_failed"`` in
+        the page's ``degradation_notes``.
+        """
+        if self.ocr is None:
+            return []
+        try:
+            recognised = self.ocr.read(sources.snapshot.screenshot)
+        except OcrFailure:
+            sources.degradation_notes.add("ocr_failed")
+            return []
+        term_sets = self.source_term_sets(sources)
+        image_terms = set(sources.memo.terms(recognised))
+        candidates = image_terms & set().union(*term_sets.values())
+        # Image terms may be absent from the visible frequency count
+        # (image-based pages); fall back to counting them once.
+        frequencies = self._visible_frequencies(sources)
+        for term in candidates:
+            frequencies.setdefault(term, 1)
+        return self._rank(candidates, frequencies)

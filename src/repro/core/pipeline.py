@@ -12,8 +12,9 @@ way a production deployment facing the live web must:
 * search engine unreachable (or its circuit breaker open) — flagged
   pages get a detector-only verdict tagged ``degraded`` instead of an
   exception;
-* OCR failure — the OCR keyterm list is skipped (identification step 4
-  never runs) and the verdict is tagged;
+* OCR failure — OCR is read only when identification reaches step 4;
+  if that read fails, step 4's query is skipped and the verdict is
+  tagged;
 * partial snapshot (truncated HTML, lost screenshot) — features are
   extracted from whatever sources did load, and the verdict carries the
   load's degradation tags.
@@ -221,8 +222,10 @@ class KnowYourPhish:
 
         Auxiliary-source failures degrade a verdict instead of
         raising: a search outage yields a detector-only verdict tagged
-        ``search_unavailable``; an OCR failure tags ``ocr_failed`` and
-        skips the OCR keyterms.
+        ``search_unavailable``.  OCR is read only for a page whose
+        identification reaches step 4; if that read fails, the page's
+        verdict is tagged ``ocr_failed`` and step 4's query is skipped,
+        and a page decided earlier never reads its screenshot.
 
         ``deadlines`` optionally gives each page a
         :class:`~repro.resilience.retry.Deadline` (``None`` entries

@@ -13,7 +13,8 @@ process:
 2. Query the *prominent terms*; own RDN returned => legitimate; result
    mlds appearing in a controlled data source become candidate targets.
 3. Same with *boosted prominent terms*.
-4. Same with *OCR prominent terms* (slow OCR, consulted last).
+4. Same with *OCR prominent terms* (slow OCR, consulted last: the
+   screenshot is read only when steps 2 and 3 have not decided).
 5. Rank candidate mlds by how often they appear in the page's data
    sources; return the top-k.
 
@@ -23,6 +24,7 @@ target(s) found) or ``"suspicious"`` (neither).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.core.datasources import DataSources
@@ -33,7 +35,8 @@ from repro.web.ocr import SimulatedOcr
 from repro.web.page import PageSnapshot
 from repro.web.search import SearchEngine
 
-_SEPARATORS = set("-0123456789")
+#: Characters that may separate keyterms in an mld (Section V-B).
+_SEPARATORS = "-0123456789"
 
 #: Distributions a page owner controls (Table II) — a candidate target
 #: must be referenced in one of these to count (step 2).
@@ -133,12 +136,17 @@ class TargetIdentifier:
     ) -> TargetIdentification:
         """Run the full five-step identification on one page.
 
+        The screenshot is read (OCR) only when identification reaches
+        step 4, so ``keyterms.ocr_prominent`` is empty on every page
+        that steps 1-3 decide, and only such a late page can pick up an
+        ``"ocr_failed"`` degradation note.
+
         ``deadline`` (a :class:`~repro.resilience.retry.Deadline`) is
         checked before every search query — the expensive, external
-        part of identification — raising
+        part of identification — and before the OCR read, raising
         :class:`~repro.resilience.errors.DeadlineExceeded` once the
-        budget is gone, so a request never searches past its budget.
-        The caller (the pipeline) turns that into a degraded,
+        budget is gone, so a request never searches or reads past its
+        budget.  The caller (the pipeline) turns that into a degraded,
         detector-only verdict.
         """
         sources = (
@@ -171,18 +179,7 @@ class TargetIdentifier:
         controlled: dict[str, list[str]] | None = None
 
         # ---- steps 2-4: keyterm queries ---------------------------------
-        steps = [
-            (2, keyterms.prominent),
-            (3, keyterms.boosted_prominent),
-            (4, keyterms.ocr_prominent),
-        ]
-        for step, terms in steps:
-            if not terms:
-                continue
-            if step == 4 and self.ocr is None:
-                continue
-            if deadline is not None:
-                deadline.check(f"target identification (step {step} search)")
+        for step, terms in self._keyterm_queries(sources, keyterms, deadline):
             results = self.search.query(terms, top_k=self.search_depth)
             result_rdns = {result.rdn for result in results}
             if suspected_rdns & result_rdns:
@@ -220,6 +217,30 @@ class TargetIdentifier:
         )
 
     # ------------------------------------------------------------------
+    def _keyterm_queries(
+        self, sources: DataSources, keyterms: Keyterms, deadline
+    ) -> Iterator[tuple[int, list[str]]]:
+        """The ``(step, terms)`` queries of steps 2-4, each after its
+        deadline check.
+
+        Lazy, so a caller that stops at step 2 or 3 never reaches
+        step 4's OCR read; once read, the OCR list is recorded in
+        ``keyterms``.  A step with no terms sends no query.
+        """
+        for step, terms in ((2, keyterms.prominent),
+                            (3, keyterms.boosted_prominent)):
+            if terms:
+                if deadline is not None:
+                    deadline.check(f"target identification (step {step} search)")
+                yield step, terms
+        if self.ocr is None:
+            return
+        if deadline is not None:
+            deadline.check("target identification (step 4 search)")
+        keyterms.ocr_prominent = self.keyterm_extractor.ocr_prominent(sources)
+        if keyterms.ocr_prominent:
+            yield 4, keyterms.ocr_prominent
+
     def _collected_mlds(self, sources: DataSources) -> list[str]:
         """mlds collected from the page's URLs (step 1), deduplicated."""
         urls = (
@@ -250,9 +271,16 @@ class TargetIdentifier:
 
         It does when its compact canonical form is a term of one
         (``controlled`` is :meth:`_controlled_terms`), or when it is
-        composable from one source's terms.  A term can only take part
-        in a composition where it is a substring of the mld, so each
-        source is tried with just those of its terms.
+        composable from one source's terms (:func:`mld_composable_from`
+        over each source in turn).  All sources are walked together, in
+        one left-to-right pass over ``mld``: a position is reached by
+        separators alone (only up to the first letter) or by the sources
+        whose own terms, with separators, spell the mld up to it.  From
+        each reached letter, every piece of the mld that the index holds
+        carries its holders forward (all of them from the first letter,
+        otherwise those already reaching the position), and a separator
+        carries every source forward by one.  The mld appears when some
+        source reaches its end.
         """
         canonical = compact_canonical(mld)
         if len(canonical) < 3:
@@ -260,16 +288,25 @@ class TargetIdentifier:
         if canonical in controlled:
             return True
         target = mld.lower()
-        pieces = {
-            target[start:end]
-            for start in range(len(target))
-            for end in range(start + 1, len(target) + 1)
-        }
-        held: dict[str, list[str]] = {}
-        for piece in pieces:
-            for name in controlled.get(piece, ()):
-                held.setdefault(name, []).append(piece)
-        return any(mld_composable_from(mld, terms) for terms in held.values())
+        size = len(target)
+        first = size - len(target.lstrip(_SEPARATORS))
+        # Position -> the sources reaching it; ``first`` is reached by
+        # separators alone, with no source yet.
+        reached: dict[int, set[str]] = {first: set()}
+        for start in range(first, size):
+            sources = reached.get(start)
+            if sources is None:
+                continue
+            if target[start] in _SEPARATORS:
+                reached.setdefault(start + 1, set()).update(sources)
+                continue
+            for stop in range(start + 1, size + 1):
+                holders = controlled.get(target[start:stop])
+                if holders and start > first:
+                    holders = sources.intersection(holders)
+                if holders:
+                    reached.setdefault(stop, set()).update(holders)
+        return bool(reached.get(size))
 
     @staticmethod
     def _haystacks(sources: DataSources) -> list[str]:

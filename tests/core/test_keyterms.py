@@ -8,6 +8,18 @@ from repro.web.ocr import SimulatedOcr
 from repro.web.page import PageSnapshot, Screenshot
 
 
+class _CountingOcr:
+    """An OCR engine that counts its screenshot reads."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.reads = 0
+
+    def read(self, screenshot):
+        self.reads += 1
+        return self.inner.read(screenshot)
+
+
 def brand_page():
     """A page where 'acmebank' appears in URL, title, text and links."""
     return PageSnapshot(
@@ -62,12 +74,23 @@ class TestKeytermExtraction:
 
     def test_ocr_prominent_requires_ocr(self):
         sources = DataSources(brand_page())
-        without = KeytermExtractor().extract(sources)
-        assert without.ocr_prominent == []
+        without = KeytermExtractor().ocr_prominent(sources)
+        assert without == []
         with_ocr = KeytermExtractor(
             ocr=SimulatedOcr(error_rate=0.0)
-        ).extract(sources)
-        assert "acmebank" in with_ocr.ocr_prominent
+        ).ocr_prominent(sources)
+        assert "acmebank" in with_ocr
+
+    def test_extract_leaves_ocr_list_to_its_own_method(self):
+        """``extract`` never reads the screenshot: OCR is step 4's cost."""
+        sources = DataSources(brand_page())
+        reader = _CountingOcr(SimulatedOcr(error_rate=0.0))
+        extractor = KeytermExtractor(ocr=reader)
+        keyterms = extractor.extract(sources)
+        assert keyterms.ocr_prominent == []
+        assert reader.reads == 0
+        assert "acmebank" in extractor.ocr_prominent(sources)
+        assert reader.reads == 1
 
     def test_image_based_page_ocr_terms(self):
         snapshot = PageSnapshot(
@@ -76,10 +99,10 @@ class TestKeytermExtraction:
             html="<title>acmebank</title><body></body>",
             screenshot=Screenshot(image_texts=("acmebank verify account",)),
         )
-        keyterms = KeytermExtractor(
+        ocr_prominent = KeytermExtractor(
             ocr=SimulatedOcr(error_rate=0.0)
-        ).extract(DataSources(snapshot))
-        assert "acmebank" in keyterms.ocr_prominent
+        ).ocr_prominent(DataSources(snapshot))
+        assert "acmebank" in ocr_prominent
 
     def test_empty_page(self):
         snapshot = PageSnapshot(

@@ -71,7 +71,7 @@ class TestTables:
         timing = lab.table8_timing(sample_size=10)
         assert set(timing) == {
             "scraping", "loading", "features", "classification",
-            "total_no_scraping",
+            "total_no_scraping", "target_identification",
         }
         for stage in timing.values():
             assert stage["median"] >= 0

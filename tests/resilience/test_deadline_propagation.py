@@ -55,15 +55,18 @@ def _pipeline(detector, tiny_world, search=None):
 
 
 class _SlowSearch:
-    """The world's search engine, each query taking one simulated second."""
+    """The world's search engine, each query taking one simulated second.
+
+    ``queries`` records the terms of every query sent.
+    """
 
     def __init__(self, search, clock):
         self.search = search
         self.clock = clock
-        self.queries = 0
+        self.queries: list[list[str]] = []
 
     def query(self, terms, top_k=10):
-        self.queries += 1
+        self.queries.append(list(terms))
         self.clock.advance(1.0)
         return self.search.query(terms, top_k=top_k)
 
@@ -80,7 +83,7 @@ def _multi_query_snapshot(detector, tiny_world):
         TargetIdentifier(search, ocr=SimulatedOcr(0.02)).identify(
             page.snapshot
         )
-        if search.queries >= 2:
+        if len(search.queries) >= 2:
             return page.snapshot
     raise AssertionError("no multi-query flagged page in tiny world")
 

@@ -14,8 +14,11 @@ from repro.resilience import (
     RetryPolicy,
     SearchUnavailableError,
 )
+from repro.resilience.retry import Deadline
 from repro.web.faults import FaultPlan, FlakyOcr, FlakySearchEngine, FlakyWeb
 from repro.web.ocr import SimulatedOcr
+from tests.core.test_keyterms import _CountingOcr
+from tests.resilience.test_deadline_propagation import _SlowSearch
 
 
 @pytest.fixture(scope="module")
@@ -80,19 +83,89 @@ class TestSearchOutageDegradation:
         assert verdict.identification is not None
 
 
+def _broken_ocr():
+    return _CountingOcr(FlakyOcr(SimulatedOcr(0.02), failure_rate=1.0))
+
+
+def _run(detector, tiny_world, snapshot, ocr, deadline=None, clock=None):
+    """``(verdict, queries)`` of one pipeline analysis of ``snapshot``,
+    each query taking one second of ``clock``."""
+    search = _SlowSearch(tiny_world.search, clock or ManualClock())
+    pipeline = KnowYourPhish(detector, TargetIdentifier(search, ocr=ocr))
+    return pipeline.analyze(snapshot, deadline=deadline), search.queries
+
+
+def _step4_snapshot(detector, tiny_world):
+    """A flagged page with screenshot text whose identification sends
+    queries before it reaches step 4 and reads the screenshot."""
+    for name in ("phishTest", "phishBrand", "phishTrain"):
+        for page in tiny_world.dataset(name):
+            if not page.snapshot.screenshot.full_text:
+                continue
+            ocr = _CountingOcr(SimulatedOcr(0.02))
+            verdict, queries = _run(detector, tiny_world, page.snapshot, ocr)
+            if verdict.identification and ocr.reads and len(queries) >= 2:
+                return page.snapshot
+    raise AssertionError("no flagged page reaching step 4 in tiny world")
+
+
 class TestOcrFailureDegradation:
-    def test_ocr_failure_skips_ocr_keyterms(self, detector, tiny_world):
-        broken_ocr = FlakyOcr(SimulatedOcr(0.02), failure_rate=1.0)
-        pipeline = KnowYourPhish(
-            detector, TargetIdentifier(tiny_world.search, ocr=broken_ocr)
+    """OCR is read only at step 4, so only such a page can fail on it."""
+
+    def test_page_decided_at_step_2_never_reads_ocr(
+        self, detector, tiny_world
+    ):
+        snapshot = _flagged_snapshot(detector, tiny_world)
+        broken = _broken_ocr()
+        verdict, queries = _run(detector, tiny_world, snapshot, broken)
+        working, _ = _run(
+            detector, tiny_world, snapshot, SimulatedOcr(0.02)
         )
-        verdict = pipeline.analyze(_flagged_snapshot(detector, tiny_world))
-        # The verdict exists, tagged; identification either completed
-        # without step 4 or confirmed/flagged as usual.
-        assert verdict.verdict in ("phish", "suspicious", "legitimate")
-        if verdict.identification is not None:
-            assert verdict.identification.keyterms.ocr_prominent == []
+        keyterms = verdict.identification.keyterms
+        # The step-2 query (the prominent terms) was the last one sent.
+        assert queries[-1] == keyterms.prominent
+        assert broken.reads == 0
+        assert "ocr_failed" not in verdict.degradations
+        assert not verdict.degraded
+        assert keyterms.ocr_prominent == []
+        assert verdict == working
+
+    def test_failed_ocr_at_step_4_tags_and_skips_the_query(
+        self, detector, tiny_world
+    ):
+        snapshot = _step4_snapshot(detector, tiny_world)
+        broken = _broken_ocr()
+        verdict, queries = _run(detector, tiny_world, snapshot, broken)
+        working, working_queries = _run(
+            detector, tiny_world, snapshot, SimulatedOcr(0.02)
+        )
+        _, no_ocr_queries = _run(detector, tiny_world, snapshot, None)
+        ocr_terms = working.identification.keyterms.ocr_prominent
+        assert broken.reads == 1
         assert "ocr_failed" in verdict.degradations
+        assert verdict.degraded
+        assert verdict.identification.keyterms.ocr_prominent == []
+        # A working OCR adds the step-4 query; a failed one sends the
+        # queries of an OCR-less run.
+        assert ocr_terms and working_queries[-1] == ocr_terms
+        assert queries == working_queries[:-1] == no_ocr_queries
+
+    def test_deadline_expired_at_step_4_reads_no_screenshot(
+        self, detector, tiny_world
+    ):
+        snapshot = _step4_snapshot(detector, tiny_world)
+        _, queries = _run(detector, tiny_world, snapshot, None)
+        # One simulated second per query: the budget runs out after the
+        # queries of steps 1-3, at step 4's deadline check.
+        clock = ManualClock()
+        ocr = _CountingOcr(SimulatedOcr(0.02))
+        verdict, _ = _run(
+            detector, tiny_world, snapshot, ocr,
+            deadline=Deadline(len(queries) - 0.5, clock=clock), clock=clock,
+        )
+        assert ocr.reads == 0
+        assert "deadline_exhausted" in verdict.degradations
+        assert verdict.identification is None
 
 
 class TestPartialSnapshotDegradation:
