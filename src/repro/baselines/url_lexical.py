@@ -9,12 +9,10 @@ numeric URL statistics they report, trained by logistic regression.
 Only the URL is consulted — no page content — which is why this family
 cannot model term-usage consistency.  That same property makes it the
 serving tier's **triage** model (see :mod:`repro.serve.triage`): it
-scores a URL in microseconds, before any page load.  To keep tier-0
-scoring a single numpy pass, featurisation is *vectorised*: token
-hashing runs as a table-driven CRC32 over a padded byte matrix —
-bit-identical to the per-token ``zlib.crc32`` loop (pinned by a
-differential test) but computed for every unique token of a batch at
-once.
+scores a URL before any page load, one request at a time.  Training,
+batch scoring and single-URL scoring share one featuriser, which parses
+each URL once and hashes each token with ``zlib.crc32`` into a dense
+row.
 """
 
 from __future__ import annotations
@@ -28,52 +26,8 @@ from repro.urls.parsing import UrlParseError, parse_url
 from repro.web.page import PageSnapshot
 
 
-def _crc32_table() -> np.ndarray:
-    """The 256-entry lookup table of the CRC-32 used by ``zlib.crc32``."""
-    table = np.arange(256, dtype=np.uint32)
-    polynomial = np.uint32(0xEDB88320)
-    for _ in range(8):
-        table = np.where(
-            (table & np.uint32(1)).astype(bool),
-            polynomial ^ (table >> np.uint32(1)),
-            table >> np.uint32(1),
-        ).astype(np.uint32)
-    return table
-
-
-_CRC32_TABLE = _crc32_table()
-
-
-def crc32_batch(tokens: list[bytes]) -> np.ndarray:
-    """``zlib.crc32`` of every token, vectorised across the batch.
-
-    Builds one padded ``uint8`` matrix (token x byte position) and runs
-    the table-driven CRC recurrence column by column, masked by token
-    length — a loop over the *longest token's* bytes, not over tokens.
-    Bit-identical to ``zlib.crc32(token)`` for every token.
-    """
-    if not tokens:
-        return np.zeros(0, dtype=np.uint32)
-    lengths = np.fromiter(
-        (len(token) for token in tokens), dtype=np.int64, count=len(tokens)
-    )
-    width = int(lengths.max()) if len(lengths) else 0
-    crc = np.full(len(tokens), 0xFFFFFFFF, dtype=np.uint32)
-    if width:
-        matrix = np.zeros((len(tokens), width), dtype=np.uint8)
-        blob = np.frombuffer(b"".join(tokens), dtype=np.uint8)
-        rows = np.repeat(np.arange(len(tokens)), lengths)
-        offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        matrix[rows, np.arange(len(blob)) - offsets] = blob
-        for column in range(width):
-            active = lengths > column
-            crc[active] = (
-                _CRC32_TABLE[
-                    (crc[active] ^ matrix[active, column]) & np.uint32(0xFF)
-                ]
-                ^ (crc[active] >> np.uint32(8))
-            )
-    return crc ^ np.uint32(0xFFFFFFFF)
+#: The separators that split a URL's path and query into tokens.
+_SEPARATORS = str.maketrans("/?.=&-_", " " * 7)
 
 
 class UrlLexicalClassifier:
@@ -101,71 +55,45 @@ class UrlLexicalClassifier:
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _tokens(url: str) -> list[str]:
-        """Lexical tokens: hostname labels plus path/query fragments."""
-        try:
-            parsed = parse_url(url)
-        except UrlParseError:
-            return ["<unparsable>"]
-        tokens = parsed.fqdn.split(".")
-        for part in (parsed.path, parsed.query):
-            for separator in "/?.=&-_":
-                part = part.replace(separator, " ")
-            tokens.extend(token for token in part.split() if token)
-        return tokens
+    def _fill_row(self, url: str, row: np.ndarray) -> None:
+        """Write the features of ``url`` into the zeroed ``row``.
 
-    def _numeric_tail(self, url: str, vector: np.ndarray) -> None:
-        """Fill the four trailing numeric URL statistics in place."""
+        The tokens are the hostname labels plus the path and query
+        split on ``/?.=&-_`` and whitespace; each sets the cell its
+        CRC-32 hashes to.  The four trailing cells hold numeric URL
+        statistics.  An unparsable URL is the one token
+        ``<unparsable>`` with a zero tail.  Tokens encode with
+        ``surrogatepass``: a URL holding a lone surrogate hashes like
+        any other, and every other token encodes as plain UTF-8.
+        """
+        width = self.n_hash_features
         try:
             parsed = parse_url(url)
-            vector[-4] = len(url) / 100.0
-            vector[-3] = parsed.level_domain_count
-            vector[-2] = url.count(".") / 10.0
-            vector[-1] = 1.0 if parsed.is_ip else 0.0
         except UrlParseError:
-            pass
+            row[zlib.crc32(b"<unparsable>") % width] = 1.0
+            return
+        tokens = parsed.fqdn.split(".")
+        tokens += f"{parsed.path} {parsed.query}".translate(_SEPARATORS).split()
+        for token in tokens:
+            index = zlib.crc32(token.encode("utf-8", "surrogatepass")) % width
+            row[index] = 1.0
+        row[-4] = len(url) / 100.0
+        row[-3] = parsed.level_domain_count
+        row[-2] = url.count(".") / 10.0
+        row[-1] = 1.0 if parsed.is_ip else 0.0
 
     def featurize_url(self, url: str) -> np.ndarray:
-        """The hashed feature vector of one URL (reference path)."""
+        """The feature vector of one URL."""
         vector = np.zeros(self.n_hash_features + 4)
-        for token in self._tokens(url):
-            index = zlib.crc32(token.encode()) % self.n_hash_features
-            vector[index] = 1.0
-        self._numeric_tail(url, vector)
+        self._fill_row(url, vector)
         return vector
 
     def featurize_urls(self, urls) -> np.ndarray:
-        """Feature matrix of a URL batch, one vectorised hashing pass.
-
-        Tokenisation stays per URL (it needs the URL parser), but
-        hashing — the per-token hot loop — runs once over the batch's
-        *unique* tokens via :func:`crc32_batch`, and the binary
-        indicators scatter into the matrix with one fancy-indexed
-        store.  Output is bit-identical to stacking
-        :meth:`featurize_url` row by row.
-        """
+        """Feature matrix of a URL batch, one :meth:`featurize_url` row each."""
         urls = list(urls)
         matrix = np.zeros((len(urls), self.n_hash_features + 4))
-        if not urls:
-            return matrix
-        token_ids: dict[str, int] = {}
-        rows: list[int] = []
-        columns: list[int] = []
-        for row, url in enumerate(urls):
-            for token in self._tokens(url):
-                slot = token_ids.setdefault(token, len(token_ids))
-                rows.append(row)
-                columns.append(slot)
-        hashes = crc32_batch(
-            [token.encode() for token in token_ids]
-        ) % np.uint32(self.n_hash_features)
-        matrix[
-            np.asarray(rows, dtype=np.int64),
-            hashes[np.asarray(columns, dtype=np.int64)],
-        ] = 1.0
-        for row, url in enumerate(urls):
-            self._numeric_tail(url, matrix[row])
+        for url, row in zip(urls, matrix):
+            self._fill_row(url, row)
         return matrix
 
     def featurize_snapshot(self, snapshot: PageSnapshot) -> np.ndarray:

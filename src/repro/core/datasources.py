@@ -126,17 +126,6 @@ class DataSources:
         OCR engine for the ``image`` distribution; ``None`` disables OCR
         (``D_image`` is then empty) — OCR is slow and only consulted on
         demand (Section V-A).
-    distribution_cache:
-        Optional cross-snapshot memoization store (a
-        :class:`~repro.parallel.cache.TtlCache` or any object with
-        ``get``/``put``) shared by many ``DataSources`` instances.  The
-        per-instance ``cached_property`` laziness already deduplicates
-        work within one instance; this cache deduplicates across
-        repeated analyses of the same content.  Requires ``cache_key``.
-    cache_key:
-        Stable content key of ``snapshot`` (a
-        :func:`~repro.parallel.cache.snapshot_fingerprint`), namespacing
-        the shared cache.
     memo:
         Optional :class:`BatchMemo` shared with the other pages of a
         batch; without one, the instance makes its own.  A memo only
@@ -150,8 +139,6 @@ class DataSources:
         snapshot: PageSnapshot,
         psl: PublicSuffixList | None = None,
         ocr: SimulatedOcr | None = None,
-        distribution_cache=None,
-        cache_key: str | None = None,
         memo: BatchMemo | None = None,
     ):
         if memo is None:
@@ -162,10 +149,6 @@ class DataSources:
         self.memo = memo
         self.psl = memo.psl
         self.ocr = ocr
-        if distribution_cache is not None and cache_key is None:
-            raise ValueError("distribution_cache requires a cache_key")
-        self._distribution_cache = distribution_cache
-        self._cache_key = cache_key
         #: degradation tags accumulated while deriving the sources
         #: (e.g. ``"ocr_failed"``); consumed by the pipeline's verdict.
         self.degradation_notes: set[str] = set()
@@ -348,25 +331,10 @@ class DataSources:
         return self._free_url_distribution(self.external_href)
 
     def distribution(self, name: str) -> TermDistribution:
-        """Lookup a Table I distribution by its short name.
-
-        When a shared distribution cache is attached, every name except
-        ``image`` is served from (and fills) that cache — ``D_image``
-        depends on the OCR engine and its failure modes, not only on
-        page content, so it is always recomputed.  Distributions are
-        immutable, so a cache hit is indistinguishable from a fresh
-        computation.
-        """
+        """Lookup a Table I distribution by its short name."""
         if name not in ALL_DISTRIBUTION_NAMES:
             raise KeyError(
                 f"unknown distribution {name!r}; "
                 f"expected one of {ALL_DISTRIBUTION_NAMES}"
             )
-        if self._distribution_cache is None or name == "image":
-            return getattr(self, f"d_{name}")
-        key = (self._cache_key, name)
-        cached = self._distribution_cache.get(key)
-        if cached is None:
-            cached = getattr(self, f"d_{name}")
-            self._distribution_cache.put(key, cached)
-        return cached
+        return getattr(self, f"d_{name}")

@@ -44,11 +44,9 @@ and the frozen golden feature matrix): every cell equals the serial
    ``np.median``'s partition does.
 
 Batch cache protocol: with an :class:`~repro.parallel.cache.AnalysisCache`
-attached, fingerprints are computed once per snapshot, warm rows are
-served straight from the feature store (skipping columnarization
-entirely), and only the misses are columnarized — consulting and
-filling the pair-matrix and distribution stores exactly like the serial
-path, then backfilling the feature store row by row.
+attached, warm rows are served straight from the feature store by
+snapshot fingerprint (skipping columnarization entirely), and only the
+misses are columnarized, then backfilled into the store row by row.
 """
 
 from __future__ import annotations
@@ -63,8 +61,7 @@ from repro.core.datasources import (
 from repro.core.features import mld_usage, rdn_usage, term_consistency
 from repro.core.features.url_features import STAT_FEATURES
 from repro.obs.trace import NULL_TRACER, AnyTracer
-from repro.parallel.cache import snapshot_fingerprint
-from repro.text.distributions import TermDistribution, hellinger_pairs_many
+from repro.text.distributions import hellinger_pairs_many
 from repro.text.terms import compact_canonical
 from repro.urls.parsing import ParsedUrl
 
@@ -141,16 +138,11 @@ class BatchExtractor:
         self,
         snapshots,
         tracer: AnyTracer = NULL_TRACER,
-        keys: list[str | None] | None = None,
         memo: BatchMemo | None = None,
     ) -> np.ndarray:
         """Feature matrix for a snapshot batch, one columnar pass per group.
 
-        ``keys`` optionally carries precomputed snapshot fingerprints
-        (one per snapshot, ``None`` entries recomputed on demand) so
-        callers that already fingerprinted — the pipeline's verdict
-        memo, the serving engine — don't pay the hash twice.  ``memo``
-        optionally passes the caller's batch memo (built for the
+        ``memo`` optionally passes the caller's batch memo (built for the
         extractor's suffix list), so later readers of the same pages
         reuse its parses; without one the call makes its own.  Emits
         one ``extract`` span carrying batch size and cache-hit count.
@@ -162,45 +154,29 @@ class BatchExtractor:
             return out
         cache = extractor.cache
         with tracer.span("extract", n_pages=len(snapshots)) as span:
-            if cache is not None:
-                if keys is None:
-                    keys = [None] * len(snapshots)
-                misses: list[int] = []
-                hits = 0
+            if cache is None:
+                misses = list(range(len(snapshots)))
+            else:
+                misses = []
                 for index, snapshot in enumerate(snapshots):
-                    if keys[index] is None:
-                        keys[index] = snapshot_fingerprint(snapshot)
-                    row = cache.get_features(keys[index])
+                    row = cache.get_features(snapshot.fingerprint)
                     if row is None:
                         misses.append(index)
                     else:
                         out[index] = row
-                        hits += 1
-                span.set(cache_hits=hits)
-            else:
-                keys = [None] * len(snapshots)
-                misses = list(range(len(snapshots)))
+                span.set(cache_hits=len(snapshots) - len(misses))
             if not misses:
                 return out
             if memo is None:
                 memo = BatchMemo(extractor.psl)
             sources = [
-                DataSources(
-                    snapshots[index],
-                    psl=extractor.psl,
-                    memo=memo,
-                    distribution_cache=(
-                        cache.distributions if cache is not None else None
-                    ),
-                    cache_key=keys[index],
-                )
+                DataSources(snapshots[index], psl=extractor.psl, memo=memo)
                 for index in misses
             ]
             block = np.zeros((len(misses), _N_FEATURES), dtype=np.float64)
             self._f1_block(sources, _UrlVectors(memo, extractor.alexa),
                            block[:, :_F1_END])
-            self._f2_block(sources, [keys[i] for i in misses],
-                           block[:, _F1_END:_F2_END])
+            self._f2_block(sources, block[:, _F1_END:_F2_END])
             self._f3_block(sources, block[:, _F2_END:_F3_END])
             for row, src in enumerate(sources):
                 block[row, _F3_END:_F4_END] = rdn_usage.compute(src)
@@ -215,7 +191,7 @@ class BatchExtractor:
             for row, index in enumerate(misses):
                 out[index] = block[row]
                 if cache is not None:
-                    cache.put_features(keys[index], block[row])
+                    cache.put_features(snapshots[index].fingerprint, block[row])
         return out
 
     # ------------------------------------------------------------------
@@ -290,47 +266,25 @@ class BatchExtractor:
                 block[row, base + 3:stop:3] = stds[entry]
 
     def _f2_block(
-        self, sources: list[DataSources], keys: list[str | None],
-        block: np.ndarray,
+        self, sources: list[DataSources], block: np.ndarray
     ) -> None:
-        """f2, batched: pair matrices from cache or one batched kernel."""
-        extractor = self.extractor
-        cache = extractor.cache
-        metric = extractor.term_metric
-        pending: list[int] = []
-        pending_dists: list[list[TermDistribution]] = []
-        for row, (src, key) in enumerate(zip(sources, keys)):
-            if cache is not None and key is not None:
-                pairs = cache.get_pair_matrix((metric, key))
-                if pairs is not None:
-                    block[row] = pairs
-                    continue
-            pending.append(row)
-            pending_dists.append(
-                [src.distribution(name) for name in F2_DISTRIBUTION_NAMES]
-            )
-        if not pending:
-            return
+        """f2, batched: every page's pair distances in one kernel call."""
+        metric = self.extractor.term_metric
+        dists = [
+            [src.distribution(name) for name in F2_DISTRIBUTION_NAMES]
+            for src in sources
+        ]
         if metric == "hellinger":
-            computed = hellinger_pairs_many(
-                pending_dists, term_consistency._PAIR_INDICES
+            block[:] = hellinger_pairs_many(
+                dists, term_consistency._PAIR_INDICES
             )
-        else:
-            distance = term_consistency.METRICS[metric]
-            computed = np.asarray(
-                [
-                    [
-                        distance(dists[first], dists[second])
-                        for first, second in term_consistency._PAIR_INDICES
-                    ]
-                    for dists in pending_dists
-                ],
-                dtype=np.float64,
-            )
-        for position, row in enumerate(pending):
-            block[row] = computed[position]
-            if cache is not None and keys[row] is not None:
-                cache.put_pair_matrix((metric, keys[row]), computed[position])
+            return
+        distance = term_consistency.METRICS[metric]
+        for row, page in enumerate(dists):
+            block[row] = [
+                distance(page[first], page[second])
+                for first, second in term_consistency._PAIR_INDICES
+            ]
 
     def _f3_block(
         self, sources: list[DataSources], block: np.ndarray

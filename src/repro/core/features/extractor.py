@@ -19,7 +19,7 @@ from repro.core.features import (
     url_features,
 )
 from repro.obs.trace import NULL_TRACER, AnyTracer
-from repro.parallel.cache import AnalysisCache, snapshot_fingerprint
+from repro.parallel.cache import AnalysisCache
 from repro.urls.alexa import AlexaRanking
 from repro.urls.public_suffix import PublicSuffixList, default_psl
 from repro.web.page import PageSnapshot
@@ -123,12 +123,12 @@ class FeatureExtractor:
         Public-suffix list for URL decomposition.
     cache:
         Optional :class:`~repro.parallel.cache.AnalysisCache` memoizing
-        term distributions, f2 pair matrices and full feature vectors by
-        snapshot content hash.  Feature vectors depend on the extractor's
-        configuration (Alexa ranking, term metric), so a cache must not
-        be shared between differently-configured extractors.  Hits
-        return copies of values computed by the exact same code path as
-        misses — caching never changes results.
+        full feature vectors by snapshot content hash.  Feature vectors
+        depend on the extractor's configuration (Alexa ranking, term
+        metric), so a cache must not be shared between
+        differently-configured extractors.  Hits return copies of values
+        computed by the exact same code path as misses — caching never
+        changes results.
     """
 
     def __init__(
@@ -163,21 +163,7 @@ class FeatureExtractor:
 
     def extract(self, snapshot: PageSnapshot) -> np.ndarray:
         """Feature vector for one page snapshot."""
-        if self.cache is None:
-            return self._extract_uncached(
-                DataSources(snapshot, psl=self.psl), key=None
-            )
-        key = snapshot_fingerprint(snapshot)
-        hit = self.cache.get_features(key)
-        if hit is not None:
-            return hit
-        sources = DataSources(
-            snapshot,
-            psl=self.psl,
-            distribution_cache=self.cache.distributions,
-            cache_key=key,
-        )
-        return self._extract_uncached(sources, key=key)
+        return self.extract_from_sources(DataSources(snapshot, psl=self.psl))
 
     def extract_from_sources(
         self, sources: DataSources, tracer: AnyTracer = NULL_TRACER
@@ -189,91 +175,46 @@ class FeatureExtractor:
         a cache hit produces just the ``extract`` span with
         ``cached=True``.  Tracing never changes the vector.
         """
-        if self.cache is None:
-            with tracer.span("extract", cached=False):
-                return self._extract_uncached(sources, key=None, tracer=tracer)
-        # Reuse the fingerprint the sources were built with, if any.
-        key = getattr(sources, "_cache_key", None) or snapshot_fingerprint(
-            sources.snapshot
-        )
-        hit = self.cache.get_features(key)
-        if hit is not None:
-            with tracer.span("extract", cached=True):
-                return hit
+        key = None
+        if self.cache is not None:
+            key = sources.snapshot.fingerprint
+            hit = self.cache.get_features(key)
+            if hit is not None:
+                with tracer.span("extract", cached=True):
+                    return hit
         with tracer.span("extract", cached=False):
-            return self._extract_uncached(sources, key=key, tracer=tracer)
-
-    def _extract_uncached(
-        self,
-        sources: DataSources,
-        key: str | None,
-        tracer: AnyTracer = NULL_TRACER,
-    ) -> np.ndarray:
-        with tracer.span("extract.f1"):
-            f1 = url_features.compute(sources, self.alexa)
-        with tracer.span("extract.f2"):
-            f2 = self._f2_block(sources, key, tracer=tracer)
-        with tracer.span("extract.f3"):
-            f3 = mld_usage.compute(sources)
-        with tracer.span("extract.f4"):
-            f4 = rdn_usage.compute(sources)
-        with tracer.span("extract.f5"):
-            f5 = content.compute(sources)
-        vector = f1 + f2 + f3 + f4 + f5
-        out = np.asarray(vector, dtype=np.float64)
+            with tracer.span("extract.f1"):
+                f1 = url_features.compute(sources, self.alexa)
+            with tracer.span("extract.f2"):
+                f2 = term_consistency.compute(
+                    sources, metric=self.term_metric
+                )
+            with tracer.span("extract.f3"):
+                f3 = mld_usage.compute(sources)
+            with tracer.span("extract.f4"):
+                f4 = rdn_usage.compute(sources)
+            with tracer.span("extract.f5"):
+                f5 = content.compute(sources)
+        out = np.asarray(f1 + f2 + f3 + f4 + f5, dtype=np.float64)
         if out.shape != (N_FEATURES,):  # pragma: no cover - invariant guard
             raise AssertionError(
                 f"feature vector has shape {out.shape}, expected ({N_FEATURES},)"
             )
-        if self.cache is not None and key is not None:
+        if key is not None:
             self.cache.put_features(key, out)
         return out
-
-    def _f2_block(
-        self,
-        sources: DataSources,
-        key: str | None,
-        tracer: AnyTracer = NULL_TRACER,
-    ) -> list[float]:
-        """The 66 f2 distances, served from the pair-matrix cache if hot.
-
-        The pair matrix is keyed by (metric, fingerprint) — unlike full
-        feature vectors it does not depend on the Alexa ranking, so this
-        sub-result stays valid across extractors differing only in f1
-        configuration.  The Hellinger (or other metric) pair-matrix
-        computation itself is timed under an ``extract.f2.pairs`` span.
-        """
-        if self.cache is None or key is None:
-            with tracer.span("extract.f2.pairs", cached=False):
-                return term_consistency.compute(
-                    sources, metric=self.term_metric
-                )
-        pair_key = (self.term_metric, key)
-        pairs = self.cache.get_pair_matrix(pair_key)
-        if pairs is None:
-            with tracer.span("extract.f2.pairs", cached=False):
-                pairs = term_consistency.compute_pairs(
-                    sources, metric=self.term_metric
-                )
-            self.cache.put_pair_matrix(pair_key, pairs)
-        else:
-            with tracer.span("extract.f2.pairs", cached=True):
-                pass
-        return pairs.tolist()
 
     def extract_batch(
         self,
         snapshots,
         tracer: AnyTracer = NULL_TRACER,
-        keys: list[str | None] | None = None,
         memo: BatchMemo | None = None,
     ) -> np.ndarray:
         """Columnar feature matrix for a snapshot batch.
 
         Delegates to :class:`~repro.core.features.batch.BatchExtractor`:
         one numpy pass per feature group over the whole batch, rows
-        bit-identical to stacking :meth:`extract` outputs.  ``keys``
-        optionally passes precomputed snapshot fingerprints; with a
+        bit-identical to stacking :meth:`extract` outputs.  With a
         cache attached, warm rows skip columnarization entirely.
         ``memo`` optionally shares the caller's
         :class:`~repro.core.datasources.BatchMemo`.
@@ -282,7 +223,7 @@ class FeatureExtractor:
         from repro.core.features.batch import BatchExtractor
 
         return BatchExtractor(self).extract_batch(
-            snapshots, tracer=tracer, keys=keys, memo=memo
+            snapshots, tracer=tracer, memo=memo
         )
 
     def extract_many(self, snapshots, pool=None) -> np.ndarray:

@@ -36,7 +36,6 @@ from repro.core.features.extractor import group_means
 from repro.core.target import TargetIdentification, TargetIdentifier
 from repro.obs.metrics import NULL_METRICS, AnyMetrics
 from repro.obs.trace import NULL_TRACER, AnyTracer
-from repro.parallel.cache import snapshot_fingerprint
 from repro.resilience.batch import BatchReport, analyze_many
 from repro.resilience.browser import LoadResult
 from repro.resilience.errors import DeadlineExceeded, SearchUnavailableError
@@ -274,17 +273,10 @@ class KnowYourPhish:
             else:
                 load_tags.append([])
                 snapshots.append(page)
-        cache = self.detector.extractor.cache
-        keys: list[str | None] = (
-            [snapshot_fingerprint(snapshot) for snapshot in snapshots]
-            if cache
-            else [None] * len(snapshots)
-        )
-
         memo = BatchMemo(self.detector.extractor.psl)
         with tracer.span("analyze", n_pages=len(pages)) as root:
             matrix = self.detector.extractor.extract_batch(
-                snapshots, tracer=tracer, keys=keys, memo=memo
+                snapshots, tracer=tracer, memo=memo
             )
             with tracer.span("classify", n_pages=len(pages)):
                 confidences = self.detector.predict_proba(matrix)
@@ -297,8 +289,8 @@ class KnowYourPhish:
                 if confidence >= self.detector.threshold:
                     flagged += 1
                     final, identification = self._identify(
-                        snapshot, keys[index], deadlines[index], tags,
-                        tracer, metrics, memo,
+                        snapshot, deadlines[index], tags, tracer, metrics,
+                        memo,
                     )
                 metrics.inc("verdicts_total", verdict=final)
                 if tags:
@@ -325,7 +317,6 @@ class KnowYourPhish:
     def _identify(
         self,
         snapshot: PageSnapshot,
-        key: str | None,
         deadline: Deadline | None,
         tags: list[str],
         tracer: AnyTracer,
@@ -338,21 +329,14 @@ class KnowYourPhish:
         detector-only verdict), appending any degradation tags to
         ``tags``.  The page's :class:`DataSources` sit on the batch's
         ``memo``, so the parses, terms and distributions extraction
-        computed are read back rather than redone, and share the
-        extractor's distribution cache through ``key``.
+        computed are read back rather than redone.
         """
         if self.identifier is None:
             return "phish", None
         if deadline is not None and deadline.expired():
             tags.append("deadline_exhausted")
             return "phish", None
-        cache = self.detector.extractor.cache
-        sources = DataSources(
-            snapshot,
-            memo=memo,
-            distribution_cache=cache.distributions if cache else None,
-            cache_key=key,
-        )
+        sources = DataSources(snapshot, memo=memo)
         try:
             with tracer.span("target.identify") as target_span:
                 identification = self.identifier.identify(

@@ -114,8 +114,9 @@ class Lab:
         is set.  Threads share this Lab's analysis cache; processes
         work on copies of it.
     cache:
-        Whether to memoize term distributions, pair matrices and feature
-        vectors by snapshot content hash (default on).
+        Whether to memoize feature vectors by snapshot content hash
+        (default on), so experiments that extract the same pages share
+        one extraction.
     """
 
     def __init__(

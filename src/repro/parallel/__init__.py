@@ -5,9 +5,8 @@ The reproduction's batch entry points
 :meth:`~repro.core.pipeline.KnowYourPhish.analyze_many`, the evaluation
 :class:`~repro.evaluation.runner.Lab`) accept a :class:`WorkerPool` to
 fan per-page work out over threads or processes, and the feature
-extractor accepts an :class:`AnalysisCache` memoizing term
-distributions, f2 pair matrices and full feature vectors by snapshot
-content hash.
+extractor accepts an :class:`AnalysisCache` memoizing full feature
+vectors by snapshot content hash.
 
 Both are designed around one invariant: **throughput must never change
 results**.  Pool maps return results in input order and equal the

@@ -6,7 +6,7 @@ injected (a :class:`~repro.resilience.clock.Clock` or a ``now``
 argument), never read from the wall clock.  Its users differ only in
 configuration:
 
-* the three :class:`AnalysisCache` stores — bounded, no TTL (features
+* the :class:`AnalysisCache` feature store — bounded, no TTL (features
   are a pure function of content and never go stale);
 * the serving engine's content-hash verdict memo (unbounded, no TTL)
   and its negative cache of recent upstream failures (TTL only);
@@ -18,10 +18,8 @@ The module also provides:
 * :func:`snapshot_fingerprint` — a stable content hash of a
   :class:`~repro.web.page.PageSnapshot` (its serialised form), so equal
   content maps to equal keys across processes and runs;
-* :class:`AnalysisCache` — one bundle of three keyed stores for the
-  quantities worth memoizing per snapshot: the Table I term
-  distributions, the 66-entry f2 pair matrix, and the full
-  212-dimension feature vector.
+* :class:`AnalysisCache` — the store of full 212-dimension feature
+  vectors, keyed by that hash.
 
 Cached values are immutable or defensively copied, so a hit is
 indistinguishable from a recomputation — bit-identical, by construction.
@@ -50,13 +48,20 @@ def snapshot_fingerprint(snapshot: PageSnapshot) -> str:
 
     Two snapshots with equal serialised content (URLs, redirection
     chain, logged links, HTML, screenshot) share a fingerprint — even
-    across processes, unlike ``id()``- or ``hash()``-based keys.
+    across processes, unlike ``id()``- or ``hash()``-based keys.  The
+    JSON encodes with ``surrogatepass``, so text holding a lone
+    surrogate (as ``PageSnapshot.from_dict`` of stored JSON may give)
+    hashes too; any other text encodes as plain UTF-8.
+    :attr:`~repro.web.page.PageSnapshot.fingerprint` caches this value
+    on the snapshot.
     """
     payload = json.dumps(
         snapshot.to_dict(), sort_keys=True, ensure_ascii=False,
         separators=(",", ":"),
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(
+        payload.encode("utf-8", "surrogatepass")
+    ).hexdigest()
 
 
 class TtlCache:
@@ -230,34 +235,26 @@ class TtlCache:
 
 
 class AnalysisCache:
-    """Memoization bundle for per-snapshot analysis artefacts.
+    """Memoization of full feature vectors by snapshot content.
 
-    Three independent bounded :class:`TtlCache` stores without a TTL,
-    all keyed by snapshot fingerprint (plus the term metric where the
-    value depends on it):
-
-    * ``features`` — full 212-dimension feature vectors;
-    * ``pair_matrices`` — the f2 pairwise-distance block (66 values);
-    * ``distributions`` — individual Table I term distributions.
+    One bounded :class:`TtlCache` without a TTL, ``features``, maps a
+    snapshot fingerprint to its 212-dimension feature vector.
+    :meth:`counts`, :meth:`stats` and :meth:`fill_metrics` name that
+    store, so their output keeps the per-store shape its readers (the
+    process-pool probe, run reports) expect.
 
     One cache belongs to one extractor configuration: feature vectors
     depend on the Alexa ranking and term metric, so sharing a cache
-    between differently-configured extractors yields wrong hits.  The
-    ``image`` distribution is never cached (it depends on the OCR
-    engine, not only on content).
+    between differently-configured extractors yields wrong hits.
 
     Parameters
     ----------
     max_entries:
-        Bound for the feature and pair-matrix stores; the distribution
-        store holds up to 13 entries per snapshot and is bounded at
-        ``16 * max_entries``.
+        Bound on the feature store.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
         self.features = TtlCache(capacity=max_entries)
-        self.pair_matrices = TtlCache(capacity=max_entries)
-        self.distributions = TtlCache(capacity=16 * max_entries)
 
     # ------------------------------------------------------------------
     def get_features(self, key: str) -> np.ndarray | None:
@@ -269,39 +266,21 @@ class AnalysisCache:
         """Store a feature vector (copied, so later mutation is safe)."""
         self.features.put(key, np.array(vector, dtype=np.float64, copy=True))
 
-    def get_pair_matrix(self, key: str) -> np.ndarray | None:
-        """Cached f2 pair block (a defensive copy) or ``None``."""
-        hit = self.pair_matrices.get(key)
-        return None if hit is None else hit.copy()
-
-    def put_pair_matrix(self, key: str, values: np.ndarray) -> None:
-        """Store an f2 pair block."""
-        self.pair_matrices.put(
-            key, np.array(values, dtype=np.float64, copy=True)
-        )
-
     # ------------------------------------------------------------------
-    def _stores(self) -> tuple[tuple[str, TtlCache], ...]:
-        return (
-            ("features", self.features),
-            ("pair_matrices", self.pair_matrices),
-            ("distributions", self.distributions),
-        )
-
     def stats(self) -> dict[str, float]:
-        """Flat hit/miss/eviction summary across all three stores."""
-        out: dict[str, float] = {}
-        for name, store in self._stores():
-            out[f"{name}_entries"] = len(store)
-            out[f"{name}_hits"] = store.hits
-            out[f"{name}_misses"] = store.misses
-            out[f"{name}_evictions"] = store.evictions
-            out[f"{name}_hit_rate"] = store.hit_rate
-        return out
+        """Flat hit/miss/eviction summary of the feature store."""
+        store = self.features
+        return {
+            "features_entries": len(store),
+            "features_hits": store.hits,
+            "features_misses": store.misses,
+            "features_evictions": store.evictions,
+            "features_hit_rate": store.hit_rate,
+        }
 
     def counts(self) -> dict[str, dict[str, int]]:
         """Per-store counter snapshot, diffable and mergeable."""
-        return {name: store.counts() for name, store in self._stores()}
+        return {"features": self.features.counts()}
 
     def merge_counts(
         self, other: "AnalysisCache | dict[str, dict[str, int]]"
@@ -310,30 +289,26 @@ class AnalysisCache:
         deltas = (
             other.counts() if isinstance(other, AnalysisCache) else other
         )
-        for name, store in self._stores():
-            delta = deltas.get(name)
-            if delta:
-                store.merge_counts(delta)
+        delta = deltas.get("features")
+        if delta:
+            self.features.merge_counts(delta)
 
     def fill_metrics(self, metrics: object) -> None:
         """Bridge current counters into a metrics registry.
 
         ``metrics`` follows the :class:`repro.obs.metrics.MetricsRegistry`
         API (duck-typed to keep this package import-light).  Called at
-        export time: counters land as ``cache_*_total{store=...}``.
+        export time: counters land as ``cache_*_total{store="features"}``.
         """
         inc = getattr(metrics, "inc")
-        for name, store in self._stores():
-            counts = store.counts()
-            inc("cache_hits_total", counts["hits"], store=name)
-            inc("cache_misses_total", counts["misses"], store=name)
-            inc("cache_evictions_total", counts["evictions"], store=name)
+        counts = self.features.counts()
+        inc("cache_hits_total", counts["hits"], store="features")
+        inc("cache_misses_total", counts["misses"], store="features")
+        inc("cache_evictions_total", counts["evictions"], store="features")
 
     def clear(self) -> None:
-        """Drop every entry from every store."""
+        """Drop every entry."""
         self.features.clear()
-        self.pair_matrices.clear()
-        self.distributions.clear()
 
 
 class CacheCountsProbe:

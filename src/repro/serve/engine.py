@@ -45,7 +45,7 @@ from collections import deque
 
 from repro.obs.metrics import NULL_METRICS, AnyMetrics
 from repro.obs.trace import NULL_TRACER, AnyTracer
-from repro.parallel.cache import TtlCache, snapshot_fingerprint
+from repro.parallel.cache import TtlCache
 from repro.resilience.clock import Clock, SystemClock
 from repro.resilience.errors import DeadlineExceeded, FetchError
 from repro.resilience.retry import Deadline
@@ -86,11 +86,11 @@ class ServingEngine:
     of that and a tier-0 decision for 1%.  Every latency and throughput
     figure the engine reports follows from these ratios, among them
     the 10x p50 cut and 1.86x throughput of ``serving_tiered.json``.
-    Measured in perfbench's serve workload (three traced runs, 2-vCPU
-    shared host), a triage decision took 0.30–0.36 ms at the median, a
-    page load 1.09–1.33 ms and an escalated page's extraction 2.0–2.6
-    ms, so triage costs nearer a tenth of an analysis than a
-    hundredth.
+    Measured in perfbench's serve workload (two traced runs at seed 1,
+    2-vCPU shared host), a triage decision took 0.054–0.055 ms at the
+    median, a page load 0.68–0.73 ms and an escalated page's extraction
+    1.55–1.58 ms, so a triage decision costs about a thirtieth of an
+    extraction, not the modelled hundredth of an analysis.
 
     Parameters
     ----------
@@ -524,7 +524,7 @@ class ServingEngine:
         load_delta = self.clock.now() - load_start
         left = remaining - load_delta if remaining is not None else None
 
-        fingerprint = snapshot_fingerprint(loaded.snapshot)
+        fingerprint = loaded.snapshot.fingerprint
         if fingerprint in staged_fps:
             if self.quality is not None:
                 # Record the memo hit this lookup is, one request at a

@@ -81,6 +81,9 @@ class PageSnapshot:
     _elements: PageElements | None = field(
         default=None, repr=False, compare=False
     )
+    _fingerprint: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.redirection_chain:
@@ -95,6 +98,22 @@ class PageSnapshot:
         if self._elements is None:
             self._elements = extract_elements(self.html, base_url=self.landing_url)
         return self._elements
+
+    @property
+    def fingerprint(self) -> str:
+        """:func:`~repro.parallel.cache.snapshot_fingerprint`; cached.
+
+        Computed at the first read and kept, like :attr:`elements`, so
+        the serving engine's memo and the feature store hash a loaded
+        page once.  Read it from a finished snapshot: content assigned
+        after the first read does not change it.
+        """
+        if self._fingerprint is None:
+            # Local import: repro.parallel.cache builds on this module.
+            from repro.parallel.cache import snapshot_fingerprint
+
+            self._fingerprint = snapshot_fingerprint(self)
+        return self._fingerprint
 
     @property
     def title(self) -> str:

@@ -1,12 +1,16 @@
 """Tests for the combined detection + target-identification pipeline."""
 
+import json
+
 import pytest
 
 from repro.core.detector import PhishingDetector
 from repro.core.features import FeatureExtractor
 from repro.core.pipeline import KnowYourPhish, PageVerdict
 from repro.core.target import TargetIdentifier
+from repro.parallel import AnalysisCache, snapshot_fingerprint
 from repro.web.ocr import SimulatedOcr
+from repro.web.page import PageSnapshot
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +172,67 @@ class TestPipeline:
         assert verdict.is_phish
         assert verdict.top_target == "paypal"
         assert PageVerdict("legitimate", 0.1, []).top_target is None
+
+
+def _cached(pipeline) -> KnowYourPhish:
+    """The fixture's pipeline over a fresh feature store."""
+    detector = PhishingDetector(
+        FeatureExtractor(
+            alexa=pipeline.detector.extractor.alexa, cache=AnalysisCache()
+        ),
+        threshold=pipeline.detector.threshold,
+    )
+    detector.model = pipeline.detector.model
+    return KnowYourPhish(detector, pipeline.identifier)
+
+
+def _outcome(verdict: PageVerdict) -> tuple:
+    identification = verdict.identification
+    return (
+        verdict.verdict, verdict.confidence, tuple(verdict.targets),
+        tuple(verdict.degradations),
+        identification.step if identification else None,
+    )
+
+
+class TestFeatureStore:
+    def test_flagged_pages_over_a_warm_store_match_a_cold_run(
+        self, pipeline, tiny_world
+    ):
+        """Identification reads a page's sources afresh when its
+        features come from the store, and decides as a cold run does."""
+        snapshots = [
+            page.snapshot for page in tiny_world.dataset("phishTest")[:10]
+        ]
+        cold = pipeline.analyze_batch(snapshots)
+        assert sum(v.identification is not None for v in cold) >= 5
+        cached = _cached(pipeline)
+        assert [_outcome(v) for v in cached.analyze_batch(snapshots)] \
+            == [_outcome(v) for v in cold]
+        store = cached.detector.extractor.cache.features
+        hits = store.hits
+        # New snapshot objects of the same content: the store answers
+        # by fingerprint, and nothing else carries over.
+        warm = cached.analyze_batch(
+            [PageSnapshot.from_dict(s.to_dict()) for s in snapshots]
+        )
+        assert store.hits - hits == len(snapshots)
+        assert [_outcome(v) for v in warm] == [_outcome(v) for v in cold]
+
+    def test_lone_surrogate_page_is_analysed_with_a_store(
+        self, pipeline, tiny_world
+    ):
+        data = tiny_world.dataset("phishTest")[0].snapshot.to_dict()
+        data["html"] = "<p>log\ud800in</p>" + data["html"]
+        data["logged_links"].append("http://cdn.example.com/a\ud800.js")
+        # Stored JSON escapes the lone surrogate; loading gives it back.
+        snapshot = PageSnapshot.from_dict(json.loads(json.dumps(data)))
+        with pytest.raises(UnicodeEncodeError):
+            snapshot.html.encode("utf-8")
+        uncached = pipeline.analyze_batch([snapshot])
+        cached = _cached(pipeline)
+        assert [_outcome(v) for v in cached.analyze_batch([snapshot])] \
+            == [_outcome(v) for v in uncached]
+        assert cached.detector.extractor.cache.get_features(
+            snapshot_fingerprint(snapshot)
+        ) is not None

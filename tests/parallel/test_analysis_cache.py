@@ -4,18 +4,31 @@ The TTL, negative-entry and LRU semantics of :class:`TtlCache` are
 covered in ``tests/serve/test_ttl_cache.py``.
 """
 
+import json
 import pickle
 import random
 import sys
 
 import numpy as np
 
+from repro.core.features import FeatureExtractor
+from repro.core.pipeline import PageVerdict
 from repro.parallel import (
     AnalysisCache,
     TtlCache,
     WorkerPool,
     snapshot_fingerprint,
 )
+from repro.resilience import ManualClock, ResilientBrowser, RetryPolicy
+from repro.serve import (
+    AdmissionController,
+    ServingEngine,
+    TokenBucket,
+    build_requests,
+)
+from repro.serve.loadgen import _RawArrival
+from repro.web.browser import Browser
+from repro.web.faults import FaultPlan, FlakyWeb
 from repro.web.page import PageSnapshot, Screenshot
 
 
@@ -50,6 +63,91 @@ class TestFingerprint:
         snapshot = _snapshot()
         clone = PageSnapshot.from_dict(snapshot.to_dict())
         assert snapshot_fingerprint(snapshot) == snapshot_fingerprint(clone)
+
+
+class TestFingerprintMemo:
+    """``PageSnapshot.fingerprint`` is read once per page, by the serving
+    engine's memo and the feature store alike; whatever route built the
+    snapshot, the kept value is the fresh hash of the finished page."""
+
+    @staticmethod
+    def _urls(world) -> list[str]:
+        pages = world.dataset("phishTest")[:6] + world.dataset("english")[:6]
+        return [page.snapshot.starting_url for page in pages]
+
+    def test_memo_is_the_fresh_hash_on_every_load_route(self, tiny_world):
+        clock = ManualClock()
+        plain = Browser(tiny_world.web)
+        resilient = ResilientBrowser(tiny_world.web)
+        degraded = ResilientBrowser(
+            FlakyWeb(
+                tiny_world.web,
+                FaultPlan(seed=1, truncate_rate=1.0, drop_screenshot_rate=1.0),
+                clock=clock,
+            ),
+            policy=RetryPolicy(clock=clock), clock=clock,
+        )
+        routes = {
+            "browser": plain.load,
+            "resilient": lambda url: resilient.load(url).snapshot,
+            "degraded": lambda url: degraded.load(url).snapshot,
+            "stored": lambda url: PageSnapshot.from_dict(
+                json.loads(json.dumps(plain.load(url).to_dict()))
+            ),
+        }
+        extractor = FeatureExtractor(
+            alexa=tiny_world.alexa, cache=AnalysisCache()
+        )
+        fingerprints = {}
+        for name, load in routes.items():
+            snapshots = [load(url) for url in self._urls(tiny_world)]
+            extractor.extract_batch(snapshots)
+            for snapshot in snapshots:
+                assert snapshot.fingerprint == snapshot_fingerprint(snapshot)
+                assert extractor.cache.get_features(
+                    snapshot_fingerprint(snapshot)
+                ) is not None
+            fingerprints[name] = [s.fingerprint for s in snapshots]
+        assert fingerprints["browser"] == fingerprints["resilient"] \
+            == fingerprints["stored"]
+        assert not set(fingerprints["degraded"]) & set(fingerprints["browser"])
+
+    def test_serving_memo_keys_are_the_fresh_hash(self, tiny_world):
+        clock = ManualClock()
+        browser = ResilientBrowser(
+            tiny_world.web, policy=RetryPolicy(clock=clock), clock=clock
+        )
+        loaded = []
+
+        class RecordingBrowser:
+            def load(self, url, deadline=None):
+                result = browser.load(url, deadline=deadline)
+                loaded.append(result.snapshot)
+                return result
+
+        class LegitimatePipeline:
+            def analyze_batch(self, pages, deadlines=None):
+                return [
+                    PageVerdict(verdict="legitimate", confidence=0.1,
+                                targets=[])
+                    for _page in pages
+                ]
+
+        engine = ServingEngine(
+            LegitimatePipeline(), RecordingBrowser(),
+            AdmissionController(
+                TokenBucket(rate=100.0, capacity=100.0), queue_limit=64
+            ),
+            clock=clock, analysis_cost=0.1,
+        )
+        urls = self._urls(tiny_world)
+        engine.run(build_requests(
+            [_RawArrival(time=float(t), url=url) for t, url in enumerate(urls)]
+        ))
+        assert len(loaded) == len(urls)
+        for snapshot in loaded:
+            assert snapshot.fingerprint == snapshot_fingerprint(snapshot)
+            assert engine.memo.get(snapshot_fingerprint(snapshot)) is not None
 
 
 class TestTtlCacheLock:
@@ -100,14 +198,6 @@ class TestAnalysisCache:
         hit[1] = 42.0               # and mutating the hit is safe too
         assert cache.get_features("k")[1] == 1.0
 
-    def test_pair_matrix_round_trip(self):
-        cache = AnalysisCache()
-        assert cache.get_pair_matrix(("hellinger", "k")) is None
-        cache.put_pair_matrix(("hellinger", "k"), np.full(66, 0.5))
-        assert np.array_equal(
-            cache.get_pair_matrix(("hellinger", "k")), np.full(66, 0.5)
-        )
-
     def test_stats_shape(self):
         cache = AnalysisCache()
         cache.put_features("k", np.zeros(212))
@@ -118,17 +208,13 @@ class TestAnalysisCache:
         assert stats["features_hits"] == 1
         assert stats["features_misses"] == 1
         assert stats["features_hit_rate"] == 0.5
-        for store in ("pair_matrices", "distributions"):
-            assert stats[f"{store}_hits"] == 0
 
     def test_clear_empties_all_stores(self):
         cache = AnalysisCache()
         cache.put_features("k", np.zeros(212))
-        cache.put_pair_matrix("k", np.zeros(66))
-        cache.distributions.put("k", "value")
         cache.clear()
         assert cache.stats()["features_entries"] == 0
-        assert cache.distributions.get("k") is None
+        assert cache.get_features("k") is None
 
 
 class TestEvictionCounters:
@@ -154,7 +240,6 @@ class TestEvictionCounters:
         stats = cache.stats()
         assert stats["features_evictions"] == 3
         assert stats["features_entries"] == 2
-        assert stats["pair_matrices_evictions"] == 0
 
 
 class TestMergeCounts:
@@ -177,11 +262,9 @@ class TestMergeCounts:
         theirs.get_features("missing")
         theirs.put_features("k", np.zeros(212))
         theirs.get_features("k")
-        theirs.distributions.get("nope")
         ours.merge_counts(theirs)
         assert ours.features.hits == 1
         assert ours.features.misses == 1
-        assert ours.distributions.misses == 1
         # merging a partial delta dict only touches the named stores
         ours.merge_counts({"features": {"hits": 4}})
         assert ours.features.hits == 5
@@ -202,8 +285,6 @@ class TestMergeCounts:
             "cache_misses_total", store="features") == 1.0
         assert metrics.counter_value(
             "cache_evictions_total", store="features") == 1.0
-        assert metrics.counter_value(
-            "cache_hits_total", store="distributions") == 0.0
 
 
 class TestCacheCountsProbe:

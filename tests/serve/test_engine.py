@@ -32,13 +32,11 @@ from repro.web.browser import PageNotFound
 
 
 class StubSnapshot:
-    """Duck-typed snapshot: ``snapshot_fingerprint`` only needs to_dict."""
+    """Duck-typed snapshot: the engine's memo reads only its fingerprint."""
 
     def __init__(self, content: str):
         self.content = content
-
-    def to_dict(self) -> dict:
-        return {"content": self.content}
+        self.fingerprint = content
 
 
 class StubLoaded:

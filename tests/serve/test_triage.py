@@ -10,6 +10,7 @@ its verdicts — byte-identical to an untriaged engine.
 """
 
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from repro.serve import (
 )
 from repro.serve.loadgen import _RawArrival
 from repro.web.browser import PageNotFound
+from repro.web.page import PageSnapshot
 
 
 class ScoreTable:
@@ -140,9 +142,7 @@ class TestTriageModel:
 class StubSnapshot:
     def __init__(self, content):
         self.content = content
-
-    def to_dict(self):
-        return {"content": self.content}
+        self.fingerprint = content
 
 
 class StubLoaded:
@@ -340,3 +340,67 @@ class TestNegativeCache:
         cache = report.as_dict()["cache"]
         assert cache["negative"]["negative_hits"] == 1
         assert "memo" in cache
+
+
+class TestLoneSurrogateUrl:
+    """A URL ``parse_url`` accepts is scored and served, lone surrogate
+    and all: the token hash and the content hash encode it with
+    ``surrogatepass``."""
+
+    URL = "http://a.com/log\ud800in"
+
+    @staticmethod
+    def _model(legit, phish):
+        from repro.baselines.url_lexical import UrlLexicalClassifier
+
+        urls = [f"http://safe{i}.com/home" for i in range(8)] + [
+            f"http://paypal-verify{i}.bad/login" for i in range(8)
+        ]
+        classifier = UrlLexicalClassifier(epochs=5).fit_urls(
+            urls, np.array([0] * 8 + [1] * 8)
+        )
+        return TriageModel(classifier, legit, phish)
+
+    def test_decide_scores_the_url(self):
+        model = self._model(0.2, 0.8)
+        decision = model.decide(self.URL)
+        assert 0.0 < decision.score < 1.0
+        assert model.decide_batch([self.URL]) == [decision]
+
+    @pytest.mark.parametrize("band, tier", [
+        ((1.0, 1.0), TIER_TRIAGE),        # every score clears at tier 0
+        ((0.0, 1.0), TIER_FULL),          # every score escalates
+    ])
+    def test_engine_serves_the_url_at_either_tier(self, band, tier):
+        class SnapshotBrowser:
+            """Loads a real snapshot whose content holds the URL."""
+
+            def load(self, url, deadline=None):
+                return SimpleNamespace(snapshot=PageSnapshot(
+                    starting_url=url, landing_url=url, html=f"<p>{url}</p>",
+                ))
+
+        class LegitimatePipeline:
+            def analyze_batch(self, pages, deadlines=None):
+                return [
+                    PageVerdict(verdict="legitimate", confidence=0.1,
+                                targets=[])
+                    for _page in pages
+                ]
+
+        engine = ServingEngine(
+            LegitimatePipeline(), SnapshotBrowser(),
+            AdmissionController(
+                TokenBucket(rate=100.0, capacity=100.0), queue_limit=8
+            ),
+            clock=ManualClock(), analysis_cost=0.1,
+            triage=self._model(*band),
+        )
+        report = engine.run(build_requests(_arrivals(
+            (0.0, self.URL), (5.0, self.URL),
+        )))
+        assert [(r.url, r.tier, r.shed) for r in report.responses] == [
+            (self.URL, tier, False), (self.URL, tier, False),
+        ]
+        if tier == TIER_FULL:
+            assert engine.memo.hits == 1      # the content hash matched
