@@ -7,16 +7,22 @@
    lose to plain set overlap.
 4. Control partition of f1: internal/external grouping vs flat link
    statistics — the paper's Section III-A conjecture.
+
+The package computes only the paper's choices (Hellinger f2, the
+partitioned f1).  The Jaccard f2 and the flat f1 come from the per-page
+oracle in ``tests/core/reference_features.py``.
 """
 
 import numpy as np
 
 from repro.core.datasources import DataSources
-from repro.core.features import url_features
+from repro.core.detector import PhishingDetector
+from repro.core.features import FeatureExtractor, feature_set_mask
 from repro.core.target import TargetIdentifier
 from repro.evaluation.reporting import format_table
 from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.metrics import binary_metrics, roc_auc
+from tests.core import reference_features
 
 
 def test_ablation_threshold(lab, benchmark, save_result):
@@ -73,25 +79,28 @@ def test_ablation_keyterm_count(lab, benchmark, save_result):
 
 
 def test_ablation_hellinger_vs_jaccard(lab, benchmark, save_result):
-    from repro.core.features import FeatureExtractor
-
     train = lab.dataset("legTrain") + lab.dataset("phishTrain")
     test = lab.dataset("english").subset(range(400)) + lab.dataset("phishTest")
+    extractor = FeatureExtractor(alexa=lab.world.alexa)
+
+    def matrix(pages, metric):
+        if metric == "hellinger":
+            return extractor.extract_many(p.snapshot for p in pages)
+        return np.asarray([
+            reference_features.f2(
+                DataSources(p.snapshot, psl=extractor.psl), metric
+            )
+            for p in pages
+        ])
 
     def run():
         rows = []
         for metric in ("hellinger", "jaccard"):
-            extractor = FeatureExtractor(
-                alexa=lab.world.alexa, term_metric=metric
-            )
-            from repro.core.detector import PhishingDetector
             detector = PhishingDetector(
                 extractor, feature_set="f2", n_estimators=60
             )
-            X_train = extractor.extract_many(p.snapshot for p in train)
-            detector.fit(X_train, train.labels())
-            X_test = extractor.extract_many(p.snapshot for p in test)
-            scores = detector.predict_proba(X_test)
+            detector.fit(matrix(train, metric), train.labels())
+            scores = detector.predict_proba(matrix(test, metric))
             rows.append([metric, roc_auc(test.labels(), scores)])
         return rows
 
@@ -111,14 +120,17 @@ def test_ablation_control_partition(lab, benchmark, save_result):
     test = lab.dataset("english").subset(range(400)) + lab.dataset("phishTest")
 
     def matrix(pages, flat):
-        rows = []
-        for page in pages:
-            sources = DataSources(page.snapshot, psl=lab.extractor.psl)
-            if flat:
-                rows.append(url_features.compute_flat(sources, lab.world.alexa))
-            else:
-                rows.append(url_features.compute(sources, lab.world.alexa))
-        return np.asarray(rows)
+        if not flat:
+            return lab.extractor.extract_many(
+                page.snapshot for page in pages
+            )[:, feature_set_mask("f1")]
+        return np.asarray([
+            reference_features.f1_flat(
+                DataSources(page.snapshot, psl=lab.extractor.psl),
+                lab.world.alexa,
+            )
+            for page in pages
+        ])
 
     def run():
         rows = []

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.core.features import FeatureExtractor, feature_set_mask
 from repro.ml.boosting import PAPER_THRESHOLD, GradientBoostingClassifier
-from repro.web.page import PageSnapshot
 
 #: The paper's discrimination threshold (Section VI-A), single-sourced
 #: from :data:`repro.ml.boosting.PAPER_THRESHOLD` so the classifier's
@@ -140,12 +139,3 @@ class PhishingDetector:
         )
         detector.model = GradientBoostingClassifier.from_dict(payload["model"])
         return detector
-
-    def score_snapshot(self, snapshot: PageSnapshot) -> float:
-        """Phishing confidence for a single page snapshot."""
-        vector = self.extractor.extract(snapshot)
-        return float(self.predict_proba(vector.reshape(1, -1))[0])
-
-    def classify_snapshot(self, snapshot: PageSnapshot) -> bool:
-        """True when the snapshot is classified as phishing."""
-        return self.score_snapshot(snapshot) >= self.threshold

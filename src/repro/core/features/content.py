@@ -3,26 +3,13 @@
 Term counts of text and title, plus counts of input fields, images and
 IFrames (Section IV-B): phishing pages tend to carry little text, more
 externally loaded HTML/images, and input fields to harvest credentials.
+This module holds the layout; :func:`repro.core.features.batch.f5_block`
+computes the values.
 """
 
 from __future__ import annotations
 
-from repro.core.datasources import DataSources
-from repro.text.terms import extract_terms
-
 N_FEATURES = 5
-
-
-def compute(sources: DataSources) -> list[float]:
-    """Compute the 5 f5 features for one page."""
-    elements = sources.snapshot.elements
-    return [
-        float(len(extract_terms(sources.snapshot.text))),
-        float(len(extract_terms(sources.snapshot.title))),
-        float(elements.input_count),
-        float(elements.image_count),
-        float(elements.iframe_count),
-    ]
 
 
 def feature_names() -> list[str]:

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.core.datasources import BatchMemo, DataSources
 from repro.core.features import (
+    batch,
     content,
     mld_usage,
     rdn_usage,
@@ -113,6 +114,11 @@ def feature_set_mask(name: str) -> np.ndarray:
 class FeatureExtractor:
     """Extracts the 212 features of Table III from page snapshots.
 
+    :meth:`extract_batch` is the one extraction: a columnar pass per
+    feature group over a snapshot batch, through the kernels of
+    :mod:`repro.core.features.batch`.  :meth:`extract` is a batch of
+    one and :meth:`extract_many` batches or pools.
+
     Parameters
     ----------
     alexa:
@@ -124,8 +130,8 @@ class FeatureExtractor:
     cache:
         Optional :class:`~repro.parallel.cache.AnalysisCache` memoizing
         full feature vectors by snapshot content hash.  Feature vectors
-        depend on the extractor's configuration (Alexa ranking, term
-        metric), so a cache must not be shared between
+        depend on the extractor's configuration (Alexa ranking, suffix
+        list), so a cache must not be shared between
         differently-configured extractors.  Hits return copies of values
         computed by the exact same code path as misses — caching never
         changes results.
@@ -135,17 +141,10 @@ class FeatureExtractor:
         self,
         alexa: AlexaRanking | None = None,
         psl: PublicSuffixList | None = None,
-        term_metric: str = "hellinger",
         cache: AnalysisCache | None = None,
     ):
-        if term_metric not in term_consistency.METRICS:
-            raise ValueError(
-                f"unknown term_metric {term_metric!r}; expected one of "
-                f"{sorted(term_consistency.METRICS)}"
-            )
         self.alexa = alexa or AlexaRanking()
         self.psl = psl or default_psl()
-        self.term_metric = term_metric
         self.cache = cache
         self._names = [
             name for _group, module in _GROUPS for name in module.feature_names()
@@ -162,47 +161,18 @@ class FeatureExtractor:
         return list(self._names)
 
     def extract(self, snapshot: PageSnapshot) -> np.ndarray:
-        """Feature vector for one page snapshot."""
-        return self.extract_from_sources(DataSources(snapshot, psl=self.psl))
+        """Feature vector for one page snapshot: a batch of one."""
+        return self.extract_batch([snapshot])[0]
 
-    def extract_from_sources(
-        self, sources: DataSources, tracer: AnyTracer = NULL_TRACER
-    ) -> np.ndarray:
-        """Feature vector for an already-built :class:`DataSources`.
+    def extract_from_sources(self, sources: DataSources) -> np.ndarray:
+        """Feature vector of ``sources.snapshot``, a batch of one that
+        reads through ``sources.memo``.
 
-        ``tracer`` optionally receives an ``extract`` span with one
-        child per feature group (``extract.f1`` .. ``extract.f5``);
-        a cache hit produces just the ``extract`` span with
-        ``cached=True``.  Tracing never changes the vector.
+        No code path calls this.  It stays because perfbench's traced
+        run wraps it by name, and ``getattr`` raises on a missing
+        attribute.
         """
-        key = None
-        if self.cache is not None:
-            key = sources.snapshot.fingerprint
-            hit = self.cache.get_features(key)
-            if hit is not None:
-                with tracer.span("extract", cached=True):
-                    return hit
-        with tracer.span("extract", cached=False):
-            with tracer.span("extract.f1"):
-                f1 = url_features.compute(sources, self.alexa)
-            with tracer.span("extract.f2"):
-                f2 = term_consistency.compute(
-                    sources, metric=self.term_metric
-                )
-            with tracer.span("extract.f3"):
-                f3 = mld_usage.compute(sources)
-            with tracer.span("extract.f4"):
-                f4 = rdn_usage.compute(sources)
-            with tracer.span("extract.f5"):
-                f5 = content.compute(sources)
-        out = np.asarray(f1 + f2 + f3 + f4 + f5, dtype=np.float64)
-        if out.shape != (N_FEATURES,):  # pragma: no cover - invariant guard
-            raise AssertionError(
-                f"feature vector has shape {out.shape}, expected ({N_FEATURES},)"
-            )
-        if key is not None:
-            self.cache.put_features(key, out)
-        return out
+        return self.extract_batch([sources.snapshot], memo=sources.memo)[0]
 
     def extract_batch(
         self,
@@ -210,21 +180,54 @@ class FeatureExtractor:
         tracer: AnyTracer = NULL_TRACER,
         memo: BatchMemo | None = None,
     ) -> np.ndarray:
-        """Columnar feature matrix for a snapshot batch.
+        """Feature matrix for a snapshot batch, one columnar pass per group.
 
-        Delegates to :class:`~repro.core.features.batch.BatchExtractor`:
-        one numpy pass per feature group over the whole batch, rows
-        bit-identical to stacking :meth:`extract` outputs.  With a
-        cache attached, warm rows skip columnarization entirely.
-        ``memo`` optionally shares the caller's
-        :class:`~repro.core.datasources.BatchMemo`.
+        With a cache attached, warm rows are served from the feature
+        store by snapshot fingerprint; only the misses are
+        columnarized, then stored row by row.  ``memo`` optionally
+        passes the caller's :class:`~repro.core.datasources.BatchMemo`
+        (built for this extractor's suffix list), so later readers of
+        the same pages reuse its parses; without one the call makes its
+        own.  Emits one ``extract`` span carrying the batch size and,
+        with a cache, the hit count.
         """
-        # Local import: the batch module builds on this one.
-        from repro.core.features.batch import BatchExtractor
-
-        return BatchExtractor(self).extract_batch(
-            snapshots, tracer=tracer, memo=memo
-        )
+        snapshots = list(snapshots)
+        out = np.zeros((len(snapshots), N_FEATURES), dtype=np.float64)
+        if not snapshots:
+            return out
+        cache = self.cache
+        with tracer.span("extract", n_pages=len(snapshots)) as span:
+            if cache is None:
+                misses = list(range(len(snapshots)))
+            else:
+                misses = []
+                for index, snapshot in enumerate(snapshots):
+                    row = cache.get_features(snapshot.fingerprint)
+                    if row is None:
+                        misses.append(index)
+                    else:
+                        out[index] = row
+                span.set(cache_hits=len(snapshots) - len(misses))
+            if not misses:
+                return out
+            if memo is None:
+                memo = BatchMemo(self.psl)
+            sources = [
+                DataSources(snapshots[index], psl=self.psl, memo=memo)
+                for index in misses
+            ]
+            block = np.zeros((len(misses), N_FEATURES), dtype=np.float64)
+            groups = group_slices()
+            batch.f1_block(sources, memo, self.alexa, block[:, groups["f1"]])
+            batch.f2_block(sources, block[:, groups["f2"]])
+            batch.f3_block(sources, block[:, groups["f3"]])
+            batch.f4_block(sources, block[:, groups["f4"]])
+            batch.f5_block(sources, block[:, groups["f5"]])
+            for row, index in enumerate(misses):
+                out[index] = block[row]
+                if cache is not None:
+                    cache.put_features(snapshots[index].fingerprint, block[row])
+        return out
 
     def extract_many(self, snapshots, pool=None) -> np.ndarray:
         """Feature matrix for an iterable of snapshots.
@@ -236,8 +239,8 @@ class FeatureExtractor:
         :meth:`~repro.parallel.WorkerPool.map_chunks` with a
         backend-aware chunk count — one chunk per process worker, a
         single chunk on the GIL-bound thread backend.  Either way rows
-        come back in snapshot order and bit-identical to the serial
-        per-page run regardless of backend, chunking or scheduling.
+        come back in snapshot order, each bit-identical to the page's
+        own row, regardless of backend, chunking or scheduling.
         With the ``process`` backend the extractor is pickled into each
         worker, so cache fills stay worker-local (the ``thread`` backend
         shares this extractor's cache).

@@ -7,26 +7,18 @@ measures how consistently terms are used between two locations of the
 page — e.g. between the (constrained) landing RDN and the (freely
 controlled) title.
 
-The Hellinger block is the extraction hot path (66 pairwise distances
-over page-sized vocabularies), so it is computed as one numpy batch via
-:func:`repro.text.distributions.hellinger_pairs` instead of 66 Python
-loops; the scalar :func:`~repro.text.distributions.hellinger_distance`
-remains the reference implementation that the batch path is tested
-against.
+This module holds the layout.  :func:`repro.core.features.batch.f2_block`
+computes a page's 66 distances as one numpy batch through
+:func:`repro.text.distributions.hellinger_pairs`; the scalar
+:func:`~repro.text.distributions.hellinger_distance` remains the
+reference that batch is tested against.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
-from repro.core.datasources import F2_DISTRIBUTION_NAMES, DataSources
-from repro.text.distributions import (
-    hellinger_distance,
-    hellinger_pairs,
-    jaccard_distance,
-)
+from repro.core.datasources import F2_DISTRIBUTION_NAMES
 
 #: The ordered distribution pairs, fixed for the lifetime of the model.
 PAIRS: tuple[tuple[str, str], ...] = tuple(
@@ -40,40 +32,6 @@ _PAIR_INDICES: tuple[tuple[int, int], ...] = tuple(
 
 N_FEATURES = len(PAIRS)
 assert N_FEATURES == 66
-
-#: Distance functions usable for f2; "hellinger" is the paper's choice,
-#: "jaccard" the ablation comparator.
-METRICS = {"hellinger": hellinger_distance, "jaccard": jaccard_distance}
-
-
-def compute_pairs(sources: DataSources, metric: str = "hellinger") -> np.ndarray:
-    """The 66 pairwise distances as one float64 array.
-
-    ``"hellinger"`` runs the vectorised batch; other metrics fall back
-    to their scalar pairwise function.
-    """
-    if metric not in METRICS:
-        raise ValueError(
-            f"unknown f2 metric {metric!r}; expected one of {sorted(METRICS)}"
-        )
-    distributions = [
-        sources.distribution(name) for name in F2_DISTRIBUTION_NAMES
-    ]
-    if metric == "hellinger":
-        return hellinger_pairs(distributions, _PAIR_INDICES)
-    distance = METRICS[metric]
-    return np.asarray(
-        [
-            distance(distributions[first], distributions[second])
-            for first, second in _PAIR_INDICES
-        ],
-        dtype=np.float64,
-    )
-
-
-def compute(sources: DataSources, metric: str = "hellinger") -> list[float]:
-    """Compute the 66 pairwise distribution distances for one page."""
-    return compute_pairs(sources, metric=metric).tolist()
 
 
 def feature_names() -> list[str]:

@@ -21,17 +21,11 @@ Layout (9 + 9 + 4 * (7*3 + 1) = 106):
   and landing URLs since obfuscation matters only where the user sees
   the URL.
 
-Empty link sets yield all-zero statistics.
+Empty link sets yield all-zero statistics.  This module holds the
+layout; :func:`repro.core.features.batch.f1_block` computes the values.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-from repro.core.datasources import DataSources
-from repro.text.terms import extract_terms
-from repro.urls.alexa import AlexaRanking
-from repro.urls.parsing import ParsedUrl
 
 #: Names of the per-URL statistical features 3-9 of Table IV.
 STAT_FEATURES = (
@@ -41,93 +35,6 @@ STAT_FEATURES = (
 LINK_SETS = ("intlog", "extlog", "intlink", "extlink")
 
 N_FEATURES = 9 + 9 + len(LINK_SETS) * (len(STAT_FEATURES) * 3 + 1)
-
-
-def _stat_vector(url: ParsedUrl, alexa: AlexaRanking) -> list[float]:
-    """Features 3-9 of Table IV for one URL."""
-    mld = url.mld or ""
-    return [
-        float(url.level_domain_count),
-        float(len(url.raw)),
-        float(len(url.fqdn)),
-        float(len(mld)),
-        float(len(extract_terms(url.raw))),
-        float(len(extract_terms(mld))),
-        float(alexa.rank(url.rdn)),
-    ]
-
-
-def _full_vector(url: ParsedUrl, alexa: AlexaRanking) -> list[float]:
-    """All nine Table IV features for a user-visible URL."""
-    free_url_dots = url.subdomains.count(".") + (1 if url.subdomains else 0)
-    free_url_dots += url.path.count(".") + url.query.count(".")
-    return [
-        1.0 if url.uses_https else 0.0,
-        float(free_url_dots),
-        *_stat_vector(url, alexa),
-    ]
-
-
-def _set_statistics(urls: list[ParsedUrl], alexa: AlexaRanking) -> list[float]:
-    """https ratio + mean/median/std of features 3-9 over a link set."""
-    if not urls:
-        return [0.0] * (1 + len(STAT_FEATURES) * 3)
-    matrix = np.asarray([_stat_vector(url, alexa) for url in urls])
-    https_ratio = float(np.mean([url.uses_https for url in urls]))
-    out = [https_ratio]
-    for column in range(matrix.shape[1]):
-        values = matrix[:, column]
-        out.extend([
-            float(values.mean()),
-            float(np.median(values)),
-            float(values.std()),
-        ])
-    return out
-
-
-def compute(sources: DataSources, alexa: AlexaRanking) -> list[float]:
-    """Compute the 106 f1 features for one page."""
-    features: list[float] = []
-    features.extend(_full_vector(sources.starting, alexa))
-    features.extend(_full_vector(sources.landing, alexa))
-    for set_name in LINK_SETS:
-        urls = {
-            "intlog": sources.internal_logged,
-            "extlog": sources.external_logged,
-            "intlink": sources.internal_href,
-            "extlink": sources.external_href,
-        }[set_name]
-        features.extend(_set_statistics(urls, alexa))
-    return features
-
-
-def compute_flat(sources: DataSources, alexa: AlexaRanking) -> list[float]:
-    """Ablation variant of f1 *without* the control partition.
-
-    The paper's Section III-A conjecture is that grouping link features
-    by internal/external (control) improves classification.  This
-    variant pools all logged and HREF links into one set (9 + 9 + 22 =
-    40 features), so the ablation benchmark can quantify what the
-    partition buys.
-    """
-    features: list[float] = []
-    features.extend(_full_vector(sources.starting, alexa))
-    features.extend(_full_vector(sources.landing, alexa))
-    all_links = sources.logged_links + sources.href_links
-    features.extend(_set_statistics(all_links, alexa))
-    return features
-
-
-def flat_feature_names() -> list[str]:
-    """Stable names for the 40 flat-f1 ablation features."""
-    single = ("https", "freeurl_dots") + STAT_FEATURES
-    names = [f"f1flat.start.{name}" for name in single]
-    names += [f"f1flat.land.{name}" for name in single]
-    names.append("f1flat.links.https_ratio")
-    for stat_name in STAT_FEATURES:
-        for agg in ("mean", "median", "std"):
-            names.append(f"f1flat.links.{stat_name}.{agg}")
-    return names
 
 
 def feature_names() -> list[str]:

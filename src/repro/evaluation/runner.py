@@ -939,76 +939,6 @@ class Lab:
             })
         return rows
 
-    def extraction_benchmark(
-        self,
-        pages_per_class: int = 40,
-        repeats: int = 7,
-    ) -> list[dict]:
-        """Feature-extraction stage in isolation: per-page vs columnar.
-
-        The end-to-end pipeline rate is floored by serial page loads
-        and per-page target identification, which no extraction rewrite
-        can touch — so the columnar path's real effect is measured at
-        the stage level.  Three configurations over the robustness
-        workload's snapshots: the per-page ``extract`` loop, a cold
-        ``extract_batch`` pass, and a warm (cache-hit) ``extract_batch``
-        pass.  They run in ``repeats`` interleaved rounds; each row keeps
-        every round's seconds in ``round_seconds``, in round order, and
-        reports pages/sec and the speedup over the per-page loop from
-        the fastest round.  ``bit_identical`` re-checks the
-        differential guarantee — batch cells equal serial cells to the
-        last bit — on live corpus data.
-        """
-        snapshots = [
-            page.snapshot
-            for name in ("english", "phishTest")
-            for page in list(self.dataset(name))[:pages_per_class]
-        ]
-
-        per_page = FeatureExtractor(alexa=self.world.alexa)
-        warm_extractor = FeatureExtractor(
-            alexa=self.world.alexa,
-            cache=AnalysisCache(max_entries=16384),
-        )
-        warm_extractor.extract_batch(snapshots)  # priming pass
-        configs = (
-            ("per_page/cold", lambda: np.vstack(
-                [per_page.extract(snapshot) for snapshot in snapshots]
-            )),
-            # a fresh extractor per round keeps this pass genuinely cold
-            ("batch/cold", lambda: FeatureExtractor(
-                alexa=self.world.alexa
-            ).extract_batch(snapshots)),
-            ("batch/warm", lambda: warm_extractor.extract_batch(snapshots)),
-        )
-        rounds: dict[str, list[float]] = {mode: [] for mode, _fn in configs}
-        matrices = {}
-        # Interleaved rounds, for the same reason as in
-        # :meth:`throughput_benchmark`: machine-speed drift must hit
-        # every configuration, not whichever happened to run last.
-        for _ in range(repeats):
-            for mode, fn in configs:
-                seconds, matrices[mode] = _timed_round(fn)
-                rounds[mode].append(seconds)
-
-        n_pages = len(snapshots)
-        base_rate = n_pages / min(rounds["per_page/cold"])
-        reference = matrices["per_page/cold"]
-        rows = []
-        for mode, _fn in configs:
-            seconds, matrix = min(rounds[mode]), matrices[mode]
-            rate = n_pages / seconds if seconds else float("inf")
-            rows.append({
-                "mode": mode,
-                "pages": n_pages,
-                "seconds": seconds,
-                "round_seconds": rounds[mode],
-                "pages_per_sec": rate,
-                "speedup": rate / base_rate,
-                "bit_identical": bool(np.array_equal(matrix, reference)),
-            })
-        return rows
-
     def training_benchmark(
         self,
         n_estimators: int | None = None,

@@ -27,7 +27,7 @@ tallies.  This package provides one common model for all of it:
   the per-request flight recorder (``quality.*`` spans).
 
 Span names follow the documented taxonomy (DESIGN.md §8, §11, §13):
-``batch.* / browse.* / analyze / extract.f{1..5} / classify /
+``batch.* / browse.* / analyze / extract / classify /
 target.* / cache.* / train.* / serve.* / quality.*`` (including the
 triage ladder's ``serve.triage``, the serving memo's end-of-run
 ``cache.snapshot`` span and the quality monitor's ``quality.evaluate`` /

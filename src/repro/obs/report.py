@@ -3,12 +3,12 @@
 :class:`RunReport` is the consumer side of the observability layer: it
 takes a spans JSONL dump, a Prometheus metrics dump and optionally a
 quality-monitor artifact — *artifacts only*, no access to the process
-that produced them — and reconstructs per-stage timing
-(``extract.f1``..``extract.f5``, ``classify``, ``target.identify``),
-verdict tallies, cache hit rates, retry/breaker activity, the tiered
-serving picture (per-tier counts and latency percentiles, triage
-actions, end-of-run cache counters) and the quality block (drift statuses,
-SLO burn rates, alerts) as aligned ASCII tables.  This is what the
+that produced them — and reconstructs per-stage timing (``extract``,
+``classify``, ``target.identify``), verdict tallies, cache hit rates,
+retry/breaker activity, the tiered serving picture (per-tier counts
+and latency percentiles, triage actions, end-of-run cache counters) and
+the quality block (drift statuses, SLO burn rates, alerts) as aligned
+ASCII tables.  This is what the
 ``repro obs report`` CLI subcommand renders; :func:`render_quality`
 is the shared formatter ``repro obs quality`` reuses for a quality
 artifact on its own.

@@ -198,9 +198,9 @@ class Tracer:
 
         Use as a context manager::
 
-            with tracer.span("extract.f2", metric="hellinger") as sp:
+            with tracer.span("extract", n_pages=4) as sp:
                 ...
-                sp.set(cached=False)
+                sp.set(cache_hits=1)
         """
         stack = self._stack()
         parent = stack[-1] if stack else None

@@ -244,7 +244,7 @@ class AnalysisCache:
     process-pool probe, run reports) expect.
 
     One cache belongs to one extractor configuration: feature vectors
-    depend on the Alexa ranking and term metric, so sharing a cache
+    depend on the Alexa ranking and suffix list, so sharing a cache
     between differently-configured extractors yields wrong hits.
 
     Parameters

@@ -118,23 +118,6 @@ class TermDistribution:
         return sum(prob for term, prob in self._probs.items() if term in text)
 
 
-def jaccard_distance(p: TermDistribution, q: TermDistribution) -> float:
-    """Jaccard distance between the supports of two distributions.
-
-    The ablation comparator for the paper's Hellinger choice: it ignores
-    term probabilities entirely and only measures set overlap.  Bounded
-    in ``[0, 1]``; same edge-case conventions as
-    :func:`hellinger_distance`.
-    """
-    if not p and not q:
-        return 0.0
-    if not p or not q:
-        return 1.0
-    intersection = len(p.terms & q.terms)
-    union = len(p.terms | q.terms)
-    return 1.0 - intersection / union
-
-
 def hellinger_distance(p: TermDistribution, q: TermDistribution) -> float:
     """Squared Hellinger distance between two term distributions.
 
@@ -176,31 +159,6 @@ def sqrt_probability_matrix(
         for term, prob in dist.items():
             matrix[row, column[term]] = math.sqrt(prob)
     return matrix
-
-
-def hellinger_pairs_many(
-    pages: Sequence[Sequence[TermDistribution]],
-    pairs: Sequence[tuple[int, int]],
-) -> np.ndarray:
-    """Per-page Hellinger pair blocks for many pages: ``(n_pages, n_pairs)``.
-
-    The batch-extraction entry point for feature set f2.  Each page keeps
-    its **own** vocabulary: padding all pages into one shared matrix
-    would change the length of every row sum, and numpy's unrolled
-    summation groups partial sums by position — appending zeros regroups
-    the real addends and can shift the result by an ulp.  Per-page
-    kernels keep every value bit-identical to the single-page
-    :func:`hellinger_pairs` (and therefore to the serial extractor),
-    which is the contract the differential harness enforces; the batch
-    win comes from amortizing the pair-index arrays and the surrounding
-    Python dispatch, not from fusing vocabularies.
-    """
-    if not pages:
-        return np.empty((0, len(pairs)), dtype=np.float64)
-    out = np.empty((len(pages), len(pairs)), dtype=np.float64)
-    for row, distributions in enumerate(pages):
-        out[row] = hellinger_pairs(distributions, pairs)
-    return out
 
 
 def hellinger_pairs(

@@ -79,7 +79,7 @@ class PageSnapshot:
     html: str = ""
     screenshot: Screenshot = field(default_factory=Screenshot)
     _elements: PageElements | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
     _fingerprint: str | None = field(
         default=None, init=False, repr=False, compare=False

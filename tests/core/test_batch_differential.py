@@ -1,13 +1,15 @@
 """Differential harness: batch extraction and compiled inference.
 
-The columnar :class:`~repro.core.features.batch.BatchExtractor` and the
-:class:`~repro.ml.compiled.CompiledEnsemble` are pure performance
-rewrites of contractually frozen code paths (PHL301-303, the golden
-feature matrix, the boosting reference loop).  This suite is the lock on
-that contract: every cell the batch path produces must equal the serial
-per-page path **bit for bit** (``np.array_equal`` on float64, not
-``allclose``), and compiled ensemble scores must equal the per-row tree
-loop the same way.
+The columnar :meth:`~repro.core.features.FeatureExtractor.extract_batch`
+and the :class:`~repro.ml.compiled.CompiledEnsemble` are pure
+performance rewrites of contractually frozen code paths (PHL301-303,
+the golden feature matrix, the boosting reference loop).  This suite is
+the lock on that contract: every cell the batch path produces must
+equal the per-page oracle in :mod:`tests.core.reference_features`
+**bit for bit** (``np.array_equal`` on float64, not ``allclose``), and
+compiled ensemble scores must equal the per-row tree loop the same way.
+``FeatureExtractor.extract`` is a batch of one, so it is never the
+reference.
 
 Hypothesis drives the page generator through the shapes that historically
 break columnar rewrites: empty pages, pages with no login form, unicode
@@ -38,6 +40,8 @@ from repro.urls.alexa import AlexaRanking
 from repro.urls.parsing import UrlParseError, parse_url
 from repro.urls.public_suffix import default_psl
 from repro.web.page import PageSnapshot
+from tests.core import reference_features
+from tests.core.test_golden_features import _load_golden, golden_snapshots
 
 # ---------------------------------------------------------------------------
 # Page generators
@@ -143,17 +147,22 @@ def _alexa():
 
 
 # ---------------------------------------------------------------------------
-# Batch extraction vs serial per-page extraction
+# Batch extraction vs the per-page oracle
 # ---------------------------------------------------------------------------
+
+
+class TestReferenceVsGolden:
+    def test_oracle_reproduces_golden_exactly(self):
+        assert np.array_equal(
+            reference_features.extract_many(golden_snapshots()),
+            _load_golden(),
+        )
 
 
 class TestBatchVsSerial:
     def _assert_identical(self, pages):
         extractor = FeatureExtractor(alexa=_alexa())
-        serial = (
-            np.vstack([extractor.extract(page) for page in pages])
-            if pages else np.zeros((0, extractor.n_features))
-        )
+        serial = reference_features.extract_many(pages, alexa=_alexa())
         batch = extractor.extract_batch(pages)
         assert batch.dtype == serial.dtype == np.float64
         assert batch.shape == serial.shape
@@ -181,9 +190,26 @@ class TestBatchVsSerial:
     def test_large_batch_bit_identical(self):
         self._assert_identical(_corpus(220))
 
+    def test_redirect_to_brand_bit_identical(self):
+        """Starting and landing mlds differ, and only the landing one
+        is used on the page; an even link set exercises the medians."""
+        self._assert_identical([PageSnapshot(
+            starting_url="http://short.io/x",
+            landing_url="https://www.acmebank.com/login",
+            logged_links=[
+                "https://www.acmebank.com/a.css",
+                "https://img.acmebank.com/logo-large.png",
+            ],
+            html=(
+                "<title>AcmeBank login</title>"
+                "<p>acmebank secure login</p>"
+                "<a href='https://www.acmebank.com/help'>help</a>"
+            ),
+        )])
+
 
 # ---------------------------------------------------------------------------
-# Cache interaction: warm/cold/evicting batches must agree with serial
+# Cache interaction: warm/cold/evicting batches must agree with cold ones
 # ---------------------------------------------------------------------------
 
 
@@ -234,7 +260,7 @@ class TestCacheInteraction:
         )
         pages = [_corpus(3)[0], partial, _corpus(3, seed=9)[1]]
         extractor = FeatureExtractor(alexa=_alexa())
-        serial = np.vstack([extractor.extract(page) for page in pages])
+        serial = reference_features.extract_many(pages, alexa=_alexa())
         assert np.array_equal(extractor.extract_batch(pages), serial)
 
 

@@ -69,12 +69,15 @@ class TestPrediction:
 
     def test_score_single_snapshot(self, trained, tiny_world):
         page = tiny_world.dataset("phishTest")[0]
-        score = trained.score_snapshot(page.snapshot)
+        X = trained.extractor.extract_many([page.snapshot])
+        (score,) = trained.predict_proba(X)
         assert 0.0 <= score <= 1.0
 
     def test_classify_snapshot(self, trained, tiny_world):
         phish_page = tiny_world.dataset("phishTest")[0]
-        assert trained.classify_snapshot(phish_page.snapshot) in (True, False)
+        X = trained.extractor.extract_many([phish_page.snapshot])
+        (score,) = trained.predict_proba(X)
+        assert trained.predict(X).tolist() == [int(score >= trained.threshold)]
 
     def test_1d_vector_accepted(self, trained, tiny_world):
         vector = trained.extractor.extract(

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.datasources import DataSources
 from repro.core.features import (
     FEATURE_SET_NAMES,
     FeatureExtractor,
@@ -16,6 +15,7 @@ from repro.core.features import (
     term_consistency,
     url_features,
 )
+from repro.core.features.extractor import group_slices
 from repro.urls.alexa import AlexaRanking
 from repro.web.page import PageSnapshot
 
@@ -67,69 +67,70 @@ def alexa():
     return AlexaRanking(["acmebank.com", "cdn.net"])
 
 
+def group_values(snapshot, group, alexa=None) -> dict[str, float]:
+    """One group's columns of ``FeatureExtractor.extract``, by name."""
+    extractor = FeatureExtractor(alexa=alexa)
+    vector = extractor.extract(snapshot)
+    columns = group_slices()[group]
+    return dict(zip(extractor.feature_names[columns], vector[columns]))
+
+
 class TestF1UrlFeatures:
     def test_count(self, alexa):
-        values = url_features.compute(DataSources(snapshot_legit()), alexa)
+        values = group_values(snapshot_legit(), "f1", alexa)
         assert len(values) == 106 == url_features.N_FEATURES
 
     def test_names_align(self):
         assert len(url_features.feature_names()) == 106
 
     def test_https_flags(self, alexa):
-        legit = url_features.compute(DataSources(snapshot_legit()), alexa)
-        phish = url_features.compute(DataSources(snapshot_phish()), alexa)
-        names = url_features.feature_names()
-        index = names.index("f1.start.https")
-        assert legit[index] == 1.0
-        assert phish[index] == 0.0
+        legit = group_values(snapshot_legit(), "f1", alexa)
+        phish = group_values(snapshot_phish(), "f1", alexa)
+        assert legit["f1.start.https"] == 1.0
+        assert phish["f1.start.https"] == 0.0
 
     def test_alexa_rank_feature(self, alexa):
-        legit = url_features.compute(DataSources(snapshot_legit()), alexa)
-        phish = url_features.compute(DataSources(snapshot_phish()), alexa)
-        names = url_features.feature_names()
-        index = names.index("f1.start.alexa_rank")
-        assert legit[index] == 1.0          # ranked first
-        assert phish[index] == 1_000_001.0  # unranked
+        legit = group_values(snapshot_legit(), "f1", alexa)
+        phish = group_values(snapshot_phish(), "f1", alexa)
+        assert legit["f1.start.alexa_rank"] == 1.0          # ranked first
+        assert phish["f1.start.alexa_rank"] == 1_000_001.0  # unranked
 
     def test_freeurl_dots(self, alexa):
-        phish = url_features.compute(DataSources(snapshot_phish()), alexa)
-        names = url_features.feature_names()
+        phish = group_values(snapshot_phish(), "f1", alexa)
         # subdomains "acmebank.com" -> 2 dots counted (1 inner + 1 trailing)
-        assert phish[names.index("f1.start.freeurl_dots")] >= 2
+        assert phish["f1.start.freeurl_dots"] >= 2
 
     def test_empty_link_sets_zero(self, alexa):
         snapshot = PageSnapshot(
             starting_url="http://x.com/", landing_url="http://x.com/",
             html="<title>t</title><body>b</body>",
         )
-        values = url_features.compute(DataSources(snapshot), alexa)
-        names = url_features.feature_names()
+        values = group_values(snapshot, "f1", alexa)
+        names = list(values)
         start = names.index("f1.extlog.https_ratio")
-        assert all(v == 0.0 for v in values[start:start + 22])
+        assert all(values[name] == 0.0 for name in names[start:start + 22])
 
     def test_mld_length(self, alexa):
-        legit = url_features.compute(DataSources(snapshot_legit()), alexa)
-        names = url_features.feature_names()
-        assert legit[names.index("f1.start.mld_length")] == len("acmebank")
+        legit = group_values(snapshot_legit(), "f1", alexa)
+        assert legit["f1.start.mld_length"] == len("acmebank")
 
 
 class TestF2TermConsistency:
     def test_count_and_bounds(self):
-        values = term_consistency.compute(DataSources(snapshot_legit()))
+        values = group_values(snapshot_legit(), "f2")
         assert len(values) == 66 == term_consistency.N_FEATURES
-        assert all(0.0 <= v <= 1.0 for v in values)
+        assert all(0.0 <= v <= 1.0 for v in values.values())
 
     def test_names_align(self):
         assert len(term_consistency.feature_names()) == 66
 
     def test_consistent_page_lower_rdn_text_distance(self):
-        names = term_consistency.feature_names()
-        index = names.index("f2.hellinger.text-landrdn")
-        legit = term_consistency.compute(DataSources(snapshot_legit()))
-        phish = term_consistency.compute(DataSources(snapshot_phish()))
+        name = "f2.hellinger.text-landrdn"
+        legit = group_values(snapshot_legit(), "f2")
+        phish = group_values(snapshot_phish(), "f2")
         # Legit page's text shares terms with its RDN; phish text does not
         # match the phisher's own gibberish RDN.
-        assert legit[index] < phish[index]
+        assert legit[name] < phish[name]
 
     def test_pairs_unique(self):
         assert len(set(term_consistency.PAIRS)) == 66
@@ -137,26 +138,24 @@ class TestF2TermConsistency:
 
 class TestF3MldUsage:
     def test_count(self):
-        values = mld_usage.compute(DataSources(snapshot_legit()))
+        values = group_values(snapshot_legit(), "f3")
         assert len(values) == 22 == mld_usage.N_FEATURES
 
     def test_legit_mld_in_text(self):
-        values = mld_usage.compute(DataSources(snapshot_legit()))
-        names = mld_usage.feature_names()
-        assert values[names.index("f3.start_mld.in.text")] == 1.0
-        assert values[names.index("f3.start_mld.in.title")] == 1.0
+        values = group_values(snapshot_legit(), "f3")
+        assert values["f3.start_mld.in.text"] == 1.0
+        assert values["f3.start_mld.in.title"] == 1.0
 
     def test_phish_mld_not_in_text(self):
-        values = mld_usage.compute(DataSources(snapshot_phish()))
-        names = mld_usage.feature_names()
-        assert values[names.index("f3.start_mld.in.text")] == 0.0
+        values = group_values(snapshot_phish(), "f3")
+        assert values["f3.start_mld.in.text"] == 0.0
 
     def test_ip_url_all_zero(self):
         snapshot = PageSnapshot(
             starting_url="http://10.1.2.3/x", landing_url="http://10.1.2.3/x",
             html="<title>t</title><body>text here</body>",
         )
-        assert mld_usage.compute(DataSources(snapshot)) == [0.0] * 22
+        assert list(group_values(snapshot, "f3").values()) == [0.0] * 22
 
     def test_substring_mass_positive_for_composite_mld(self):
         snapshot = PageSnapshot(
@@ -168,30 +167,26 @@ class TestF3MldUsage:
                 "</body>"
             ),
         )
-        values = mld_usage.compute(DataSources(snapshot))
-        names = mld_usage.feature_names()
+        values = group_values(snapshot, "f3")
         # Title terms "bank", "america" are substrings of "bankofamerica".
-        assert values[names.index("f3.start_mld.mass.title")] > 0.5
+        assert values["f3.start_mld.mass.title"] > 0.5
 
 
 class TestF4RdnUsage:
     def test_count(self):
-        values = rdn_usage.compute(DataSources(snapshot_legit()))
+        values = group_values(snapshot_legit(), "f4")
         assert len(values) == 13 == rdn_usage.N_FEATURES
 
     def test_internal_ratios(self):
-        legit = rdn_usage.compute(DataSources(snapshot_legit()))
-        phish = rdn_usage.compute(DataSources(snapshot_phish()))
-        names = rdn_usage.feature_names()
-        index = names.index("f4.logged_internal_ratio")
-        assert legit[index] > phish[index]
+        legit = group_values(snapshot_legit(), "f4")
+        phish = group_values(snapshot_phish(), "f4")
+        name = "f4.logged_internal_ratio"
+        assert legit[name] > phish[name]
 
     def test_chain_features(self):
-        snapshot = snapshot_legit()
-        values = rdn_usage.compute(DataSources(snapshot))
-        names = rdn_usage.feature_names()
-        assert values[names.index("f4.chain_length")] == 1.0
-        assert values[names.index("f4.chain_rdn_switches")] == 0.0
+        values = group_values(snapshot_legit(), "f4")
+        assert values["f4.chain_length"] == 1.0
+        assert values["f4.chain_rdn_switches"] == 0.0
 
     def test_cross_domain_chain_switches(self):
         snapshot = PageSnapshot(
@@ -200,19 +195,17 @@ class TestF4RdnUsage:
             redirection_chain=["http://short.io/x", "http://landing.com/y"],
             html="<body>x</body>",
         )
-        values = rdn_usage.compute(DataSources(snapshot))
-        names = rdn_usage.feature_names()
-        assert values[names.index("f4.chain_rdn_switches")] == 1.0
-        assert values[names.index("f4.start_land_same_rdn")] == 0.0
+        values = group_values(snapshot, "f4")
+        assert values["f4.chain_rdn_switches"] == 1.0
+        assert values["f4.start_land_same_rdn"] == 0.0
 
 
 class TestF5Content:
     def test_count_and_values(self):
-        values = content.compute(DataSources(snapshot_phish()))
+        values = group_values(snapshot_phish(), "f5")
         assert len(values) == 5 == content.N_FEATURES
-        names = content.feature_names()
-        assert values[names.index("f5.input_count")] == 3.0
-        assert values[names.index("f5.text_terms")] > 0
+        assert values["f5.input_count"] == 3.0
+        assert values["f5.text_terms"] > 0
 
 
 class TestExtractor:

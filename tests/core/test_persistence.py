@@ -78,6 +78,7 @@ class TestDetectorPersistence:
         trained.save(path)
         loaded = PhishingDetector.load(path, extractor=trained.extractor)
         page = tiny_world.dataset("phishTest")[0]
-        assert loaded.score_snapshot(page.snapshot) == pytest.approx(
-            trained.score_snapshot(page.snapshot)
+        X = trained.extractor.extract_many([page.snapshot])
+        assert loaded.predict_proba(X) == pytest.approx(
+            trained.predict_proba(X)
         )

@@ -92,6 +92,9 @@ class TestEndToEnd:
         from repro.web.page import PageSnapshot
         page = tiny_world.dataset("phishTest")[0]
         rebuilt = PageSnapshot.from_dict(page.snapshot.to_dict())
-        original = system.detector.score_snapshot(page.snapshot)
-        roundtrip = system.detector.score_snapshot(rebuilt)
+        detector = system.detector
+        original, roundtrip = (
+            detector.predict_proba(detector.extractor.extract_many([snapshot]))
+            for snapshot in (page.snapshot, rebuilt)
+        )
         assert original == pytest.approx(roundtrip)

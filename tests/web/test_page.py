@@ -1,5 +1,11 @@
 """Tests for page snapshots and screenshots."""
 
+import pickle
+from dataclasses import replace
+
+import numpy as np
+
+from repro.core.features import FeatureExtractor
 from repro.web.page import PageSnapshot, Screenshot
 
 
@@ -48,6 +54,34 @@ class TestPageSnapshot:
         assert snapshot.elements is snapshot.elements  # cached object
         assert snapshot.href_links == ["http://a.com/x"]
         assert "text" in snapshot.text
+
+    def test_replace_reparses_new_html(self):
+        old = PageSnapshot(
+            starting_url="http://a.com/", landing_url="http://a.com/",
+            html="<title>old</title>",
+        )
+        assert old.title == "old"  # parse, and keep the parse
+        html = "<title>new words here</title><body>new body</body>"
+        replaced = replace(old, html=html)
+        fresh = PageSnapshot(
+            starting_url="http://a.com/", landing_url="http://a.com/",
+            html=html,
+        )
+        assert replaced.title == "new words here"
+        extractor = FeatureExtractor()
+        assert np.array_equal(
+            extractor.extract(replaced), extractor.extract(fresh)
+        )
+
+    def test_pickle_keeps_parse(self):
+        snapshot = PageSnapshot(
+            starting_url="http://a.com/", landing_url="http://a.com/",
+            html="<title>kept</title>",
+        )
+        elements = snapshot.elements
+        clone = pickle.loads(pickle.dumps(snapshot))
+        assert clone._elements == elements
+        assert clone.title == "kept"
 
     def test_copyright_property(self):
         snapshot = PageSnapshot(
