@@ -1,15 +1,29 @@
-"""A lightweight, fault-tolerant DOM built on :mod:`html.parser`.
+"""The test oracle for page load: the DOM builder and the walk that
+``repro.html.extract.extract_elements`` ran before its one-pass scanner.
 
-Real phishing pages are frequently malformed (unclosed tags, stray
-end-tags), so the builder never raises on bad input: unknown end tags are
-ignored and unclosed elements are implicitly closed at end of input.
-Void elements (``img``, ``br``, ``input``...) never take children, and a
-repeated attribute keeps its first value, as in a browser.
+Kept verbatim as the reference the scanner is compared against, as
+``tests/core/reference_features.py`` is for feature extraction.  It
+parses with the running interpreter's :mod:`html.parser`, so it is
+compared only on markup that the supported Pythons' parsers all read
+the same way, and it raises ``AssertionError`` where that parser does
+(``<![x]>``); the scanner copies CPython 3.11.7's rules.
 """
 
 from __future__ import annotations
 
+import re
 from html.parser import HTMLParser
+
+from repro.html.extract import _RESOURCE_ATTRS, PageElements, _link_resolver
+
+# ---- repro/html/dom.py -------------------------------------------------
+# A lightweight, fault-tolerant DOM built on :mod:`html.parser`.
+#
+# Real phishing pages are frequently malformed (unclosed tags, stray
+# end-tags), so the builder never raises on bad input: unknown end tags are
+# ignored and unclosed elements are implicitly closed at end of input.
+# Void elements (``img``, ``br``, ``input``...) never take children, and a
+# repeated attribute keeps its first value, as in a browser.
 
 VOID_ELEMENTS = frozenset(
     {
@@ -150,3 +164,79 @@ def parse_html(markup: str) -> HtmlNode:
         builder.feed(markup)
         builder.close()
     return builder.root
+
+
+# ---- repro/html/extract.py: the walk extract_elements ran ------------
+_COPYRIGHT_MARKERS = ("©", "(c)", "copyright", "all rights reserved")
+
+
+def find_copyright(text: str) -> str:
+    """Return the copyright notice line found in ``text``, or "".
+
+    The paper treats the copyright as a distinguished short text snippet:
+    a line containing a copyright marker (``©``, ``(c)``, "copyright",
+    "all rights reserved").
+    """
+    for line in re.split(r"[\n\r]+", text):
+        lowered = line.lower()
+        if any(marker in lowered for marker in _COPYRIGHT_MARKERS):
+            return line.strip()
+    return ""
+
+
+def extract_elements(markup: str, base_url: str = "") -> PageElements:
+    """Parse ``markup`` and extract every element of :class:`PageElements`.
+
+    ``base_url`` is the page's landing URL; relative links are resolved
+    against it, matching what a browser logs.  The DOM is walked once,
+    in document order.
+    """
+    document = parse_html(markup)
+    elements = PageElements()
+    resolve = _link_resolver(base_url)
+    title_node: HtmlNode | None = None
+    body: HtmlNode | None = None
+
+    for node in document.iter_nodes():
+        tag = node.tag
+        if tag in ("a", "area"):
+            url = resolve(node.get("href", ""))
+            if url:
+                elements.href_links.append(url)
+        elif tag == "form":
+            url = resolve(node.get("action", ""))
+            if url:
+                elements.form_actions.append(url)
+        elif tag == "input":
+            if (node.get("type") or "text").lower() != "hidden":
+                elements.input_count += 1
+        elif tag == "textarea":
+            elements.input_count += 1
+        elif tag == "title":
+            if title_node is None:
+                title_node = node
+        elif tag == "body":
+            if body is None:
+                body = node
+
+        if tag == "img":
+            elements.image_count += 1
+        elif tag in ("iframe", "frame"):
+            elements.iframe_count += 1
+            url = resolve(node.get("src", ""))
+            if url:
+                elements.iframe_links.append(url)
+
+        attr = _RESOURCE_ATTRS.get(tag)
+        if attr is not None:
+            url = resolve(node.get(attr, ""))
+            if url:
+                elements.resource_links.append(url)
+
+    if title_node is not None:
+        elements.title = title_node.text().strip()
+    text_root: HtmlNode = body if body is not None else document
+    # Use newline separation so the copyright line stays detectable.
+    elements.text = text_root.text(separator="\n")
+    elements.copyright_notice = find_copyright(elements.text)
+    return elements

@@ -1,9 +1,10 @@
-"""Tests for the fault-tolerant DOM builder."""
+"""Tests for the fault-tolerant DOM builder, kept as the page-load oracle
+in ``tests/html/reference_dom.py``."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.html.dom import NON_RENDERED, HtmlNode, parse_html
+from tests.html.reference_dom import NON_RENDERED, HtmlNode, parse_html
 
 
 class TestParsing:
@@ -87,19 +88,19 @@ def _recursive_text(node, fragments):
 
 #: Markup fragments that nest, leave elements unclosed, close tags that
 #: were never opened, mix void and self-closed elements, open
-#: non-rendered elements and interleave text, joined in random order.
+#: non-rendered elements and interleave text.
+MARKUP_FRAGMENTS = [
+    "<div>", "</div>", "<p>", "</p>", "<span>", "</span>", "<b>",
+    "</i>", "<img src=x>", "<br/>", "<ul><li>", "</li>", "</ul>",
+    "<table><tr><td>", "</table>", "<title>t</title>", "<body>",
+    "</html>", "<script>x<y</script>", "<a href='/x'>", "</a>",
+    "<!-- c -->", "<p/>", "<input>", "text", " ", "<head>",
+    "</head>", "<style>p{}</style>", "<noscript>", "</noscript>",
+]
+
+#: The fragments and random text, joined in random order.
 _MARKUP = st.lists(
-    st.one_of(
-        st.sampled_from([
-            "<div>", "</div>", "<p>", "</p>", "<span>", "</span>", "<b>",
-            "</i>", "<img src=x>", "<br/>", "<ul><li>", "</li>", "</ul>",
-            "<table><tr><td>", "</table>", "<title>t</title>", "<body>",
-            "</html>", "<script>x<y</script>", "<a href='/x'>", "</a>",
-            "<!-- c -->", "<p/>", "<input>", "text", " ", "<head>",
-            "</head>", "<style>p{}</style>", "<noscript>", "</noscript>",
-        ]),
-        st.text(max_size=6),
-    ),
+    st.one_of(st.sampled_from(MARKUP_FRAGMENTS), st.text(max_size=6)),
     max_size=40,
 ).map("".join)
 
